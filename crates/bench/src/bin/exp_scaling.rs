@@ -10,7 +10,7 @@
 //! cargo run --release -p cgp-bench --bin exp_scaling [n] [backend]
 //! ```
 
-use cgp_bench::experiments::scaling;
+use cgp_bench::experiments::{scaling, scaling_shape_checks};
 use cgp_bench::{workload, Table};
 use cgp_core::MatrixBackend;
 
@@ -60,10 +60,8 @@ fn main() {
     }
     println!("{table}");
     println!("shape checks against the paper:");
-    println!(
-        "  * the p=3 run is slower than sequential (overhead factor 3-5): measured overhead {:.2}",
-        rows[1].overhead_factor
-    );
-    println!("  * speedup grows monotonically from p=3 to p=48");
-    println!("  * per-processor exchange volume is 2*n/p words (Theorem 1)");
+    for check in scaling_shape_checks(&rows, n) {
+        let verdict = if check.pass { "PASS" } else { "FAIL" };
+        println!("  {verdict} {} — {}", check.claim, check.measured);
+    }
 }

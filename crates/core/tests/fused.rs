@@ -156,12 +156,10 @@ fn per_phase_metrics_and_total_elapsed_are_coherent() {
     }
 }
 
-/// Golden pin of the thread-transport engine: the permutations below were
-/// captured from the engine **before** the transport layer was extracted
-/// (seed 42, n = 32, p = 4, per backend).  The thread transport is the
-/// zero-overhead default fast path, so the refactor must be byte-invisible:
-/// the same seed reproduces these vectors exactly, one-shot and via a
-/// session.
+/// Golden pin of the seeded-output contract: the same seed must reproduce
+/// these vectors (seed 42, n = 32, p = 4, per backend) exactly, one-shot
+/// and via a session.  A change to the channel fabric underneath the
+/// engine may not move a byte of them.
 #[test]
 fn thread_transport_reproduces_pre_transport_golden_permutations() {
     let golden: [(MatrixBackend, [u64; 32]); 4] = [

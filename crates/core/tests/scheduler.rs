@@ -168,6 +168,10 @@ fn coalesced_service_jobs_match_one_shot_and_are_metered() {
     let stall = handle
         .submit_with(identity(200_000), stall_opts, Priority::Normal)
         .unwrap();
+    // Wait until the machine has taken the stall job: a tiny job admitted
+    // before that would ride along in the stall's refill and run as a
+    // batch of its own.
+    drain_queues(&service);
     // ...while the tiny jobs pile up behind it and arrive on the deque as
     // one refill: consecutive, compatible, and far under the byte budget —
     // one fenced batch.

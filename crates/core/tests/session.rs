@@ -65,6 +65,27 @@ fn soak_hundreds_of_back_to_back_permutations() {
 }
 
 #[test]
+fn sample_permutation_into_reuses_the_buffer() {
+    let permuter = Permuter::new(3).seed(13);
+    let reference = permuter.sample_permutation(2_000);
+    let mut session = permuter.session::<u64>();
+    let mut out = Vec::new();
+    // Two warm-up calls: the exchange buffers ratchet up once over the
+    // first couple of calls (see `PermuteScratch`), then converge.
+    session.sample_permutation_into(2_000, &mut out);
+    session.sample_permutation_into(2_000, &mut out);
+    assert_eq!(out, reference);
+    let cap = out.capacity();
+    let retained = session.retained_capacity();
+    for _ in 0..2 {
+        session.sample_permutation_into(2_000, &mut out);
+        assert_eq!(out, reference);
+        assert_eq!(out.capacity(), cap);
+        assert_eq!(session.retained_capacity(), retained);
+    }
+}
+
+#[test]
 fn soak_survives_shape_changes() {
     // A session is not pinned to one shape: growing and shrinking vectors
     // through the same scratch must stay correct (capacities ratchet to the

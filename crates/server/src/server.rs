@@ -11,13 +11,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
-use cgp_cgm::transport::wire::{wire_fns, WireFns};
 use cgp_cgm::CgmError;
 use cgp_core::{
     PermutationService, PermuteOptions, ServiceConfig, ServiceError, ServiceHandle, ServiceMetrics,
 };
 
 use crate::protocol::*;
+use crate::wire::Wire;
 
 /// Why a [`WireServer`] could not start.
 #[derive(Debug)]
@@ -26,11 +26,6 @@ pub enum ServerError {
     Io(std::io::Error),
     /// The permutation fleet behind the server could not be built.
     Service(CgmError),
-    /// The payload type has no [`Wire`](cgp_cgm::transport::wire::Wire)
-    /// codec registered — register one with
-    /// [`register_wire`](cgp_cgm::transport::wire::register_wire) before
-    /// binding (primitives are pre-registered).
-    UnregisteredPayload(&'static str),
 }
 
 impl std::fmt::Display for ServerError {
@@ -38,10 +33,6 @@ impl std::fmt::Display for ServerError {
         match self {
             ServerError::Io(e) => write!(f, "wire server I/O error: {e}"),
             ServerError::Service(e) => write!(f, "the permutation fleet could not start: {e}"),
-            ServerError::UnregisteredPayload(ty) => write!(
-                f,
-                "payload type {ty} has no Wire codec; call register_wire::<{ty}>() first"
-            ),
         }
     }
 }
@@ -51,7 +42,6 @@ impl std::error::Error for ServerError {
         match self {
             ServerError::Io(e) => Some(e),
             ServerError::Service(e) => Some(e),
-            ServerError::UnregisteredPayload(_) => None,
         }
     }
 }
@@ -98,7 +88,7 @@ enum WriterMsg {
     Close,
 }
 
-struct ServerInner<T: Send + 'static> {
+struct ServerInner<T: Wire> {
     /// `Some` until the first shutdown takes it (frame- or API-initiated —
     /// whichever comes first drains the fleet exactly once).
     service: Mutex<Option<PermutationService<T>>>,
@@ -107,7 +97,6 @@ struct ServerInner<T: Send + 'static> {
     final_metrics: Mutex<Option<ServiceMetrics>>,
     /// Per-job options for wire submissions (the service-wide defaults).
     options: PermuteOptions,
-    fns: WireFns<T>,
     hello: Vec<u8>,
     shutting_down: AtomicBool,
     /// One writer-queue handle per connection, kept so shutdown can flush
@@ -117,7 +106,7 @@ struct ServerInner<T: Send + 'static> {
     next_conn: AtomicU64,
 }
 
-impl<T: Send + 'static> ServerInner<T> {
+impl<T: Wire> ServerInner<T> {
     /// Drains and tears the whole server down; idempotent.  Every job
     /// accepted before this call still resolves — its result frame is
     /// queued by the completion callback during the drain, and only behind
@@ -173,7 +162,7 @@ impl<T: Send + 'static> ServerInner<T> {
 /// byte-identical permutation of the same in-process `submit` (same fleet
 /// seed), because the payload codec and the scheduler are both
 /// deterministic — the transport is just bytes.
-pub struct WireServer<T: Send + 'static> {
+pub struct WireServer<T: Wire> {
     inner: Arc<ServerInner<T>>,
     acceptor: Option<JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
@@ -181,7 +170,7 @@ pub struct WireServer<T: Send + 'static> {
     socket_path: Option<PathBuf>,
 }
 
-impl<T: Send + 'static> WireServer<T> {
+impl<T: Wire> WireServer<T> {
     /// Binds a Unix-domain-socket server at `path` (the file must not
     /// exist) and starts the fleet behind it.
     pub fn bind_uds(
@@ -229,8 +218,6 @@ impl<T: Send + 'static> WireServer<T> {
         config: ServiceConfig,
         options: PermuteOptions,
     ) -> Result<Self, ServerError> {
-        let fns = wire_fns::<T>()
-            .ok_or_else(|| ServerError::UnregisteredPayload(std::any::type_name::<T>()))?;
         let service =
             PermutationService::try_new(config, options.clone()).map_err(ServerError::Service)?;
         let mut hello = Vec::new();
@@ -247,7 +234,6 @@ impl<T: Send + 'static> WireServer<T> {
             service: Mutex::new(Some(service)),
             final_metrics: Mutex::new(None),
             options,
-            fns,
             hello,
             shutting_down: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
@@ -304,7 +290,7 @@ impl<T: Send + 'static> WireServer<T> {
     }
 }
 
-impl<T: Send + 'static> Drop for WireServer<T> {
+impl<T: Wire> Drop for WireServer<T> {
     fn drop(&mut self) {
         self.inner.shutdown_service();
         if let Some(handle) = self.acceptor.take() {
@@ -316,7 +302,7 @@ impl<T: Send + 'static> Drop for WireServer<T> {
     }
 }
 
-fn acceptor_loop<T: Send + 'static>(listener: Listener, inner: Arc<ServerInner<T>>) {
+fn acceptor_loop<T: Wire>(listener: Listener, inner: Arc<ServerInner<T>>) {
     loop {
         let stream = match listener.accept() {
             Ok(stream) => stream,
@@ -361,11 +347,7 @@ fn writer_loop(mut stream: Stream, rx: mpsc::Receiver<WriterMsg>) {
 
 /// One connection's reader half: handshake, then a frame-dispatch loop
 /// until the client hangs up or the server shuts down.
-fn serve_connection<T: Send + 'static>(
-    mut stream: Stream,
-    conn_id: u64,
-    inner: Arc<ServerInner<T>>,
-) {
+fn serve_connection<T: Wire>(mut stream: Stream, conn_id: u64, inner: Arc<ServerInner<T>>) {
     // Mint this connection's tenant.  A server already shutting down
     // greets with a connection-level error instead of a hello.
     let handle: Option<ServiceHandle<T>> = inner
@@ -449,7 +431,7 @@ fn serve_connection<T: Send + 'static>(
                     );
                     continue;
                 };
-                let data = match (inner.fns.decode)(frame.tail()) {
+                let data = match T::decode(frame.tail()) {
                     Ok(data) => data,
                     Err(e) => {
                         send_error(request_id, ErrorCode::BadFrame, &e.message);
@@ -462,14 +444,13 @@ fn serve_connection<T: Send + 'static>(
                 match handle.try_submit_with(data, inner.options.clone(), priority) {
                     Ok(ticket) => {
                         let tx = tx.clone();
-                        let encode = inner.fns.encode;
                         ticket.on_complete(move |outcome| {
                             let body = match outcome {
                                 Ok((data, _report)) => {
                                     let mut body = Vec::with_capacity(9 + data.len() * 8);
                                     body.push(KIND_RESULT);
                                     body.extend_from_slice(&request_id.to_le_bytes());
-                                    (encode)(&data, &mut body);
+                                    T::encode_into(&data, &mut body);
                                     body
                                 }
                                 Err(e) => error_body(

@@ -222,18 +222,26 @@ fn client_disconnect_mid_job_is_cleaned_up_without_wedging_the_server() {
 #[test]
 fn shutdown_with_connected_clients_drains_results_then_closes_sockets() {
     let path = fresh_socket_path();
+    // One machine, so a single long job holds back everything behind it.
+    let config = ServiceConfig::new(2).machines(1).queue_depth(16).seed(17);
     let server: WireServer<u64> =
-        WireServer::bind_uds(&path, test_config(17), PermuteOptions::default()).unwrap();
-    let trigger: Client<u64> = Client::connect_uds(&path).unwrap();
+        WireServer::bind_uds(&path, config, PermuteOptions::default()).unwrap();
+    let mut trigger: Client<u64> = Client::connect_uds(&path).unwrap();
     let mut bystander: Client<u64> = Client::connect_uds(&path).unwrap();
 
     let data: Vec<u64> = (0..4000).collect();
     let reference = bystander.permute(&data).unwrap();
+    // The trigger occupies the machine with a large high-priority job.
+    // High lanes refill strictly before normal ones, so the bystander's
+    // pipelined jobs below queue behind it and cannot finish first.
+    let stall: Vec<u64> = (0..1 << 20).collect();
+    trigger.submit_with(&stall, Priority::High).unwrap();
+    trigger.metrics().unwrap();
     let ids: Vec<u64> = (0..3).map(|_| bystander.submit(&data).unwrap()).collect();
     // Synchronize: once metrics answers, every earlier frame on this
     // connection has been admitted, so the shutdown below must drain them.
     let before = bystander.metrics().unwrap();
-    assert_eq!(before.tenant_served, 1);
+    assert_eq!(before.tenant_served, 1, "{before:?}");
 
     // A wire-initiated shutdown from one connection...
     trigger.shutdown().unwrap();
@@ -251,7 +259,7 @@ fn shutdown_with_connected_clients_drains_results_then_closes_sockets() {
 
     // The server-side handle agrees on the final tally and is idempotent.
     let metrics = server.shutdown();
-    assert_eq!(metrics.jobs_served, 4);
+    assert_eq!(metrics.jobs_served, 5);
 
     // New connections are refused politely.
     match Client::<u64>::connect_uds(&path) {
