@@ -129,8 +129,8 @@ pub fn get<'a>(row: &'a Row, key: &str) -> Option<&'a Value> {
 /// layout).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// Experiment name (`"exchange"`, `"resident"`, `"fused"`,
-    /// `"service"`).
+    /// Experiment name (`"resident"`, `"service"`, `"shuffle"`,
+    /// `"wire"`).
     pub bench: String,
     /// Schema version the snapshot was written with.
     pub schema: u64,
@@ -609,15 +609,12 @@ mod tests {
     fn committed_snapshots_in_the_repo_parse() {
         // Guard the real files: if a hand edit breaks them, fail here, not
         // in CI's --check step.
-        for name in [
-            "exchange", "resident", "fused", "service", "shuffle", "wire",
-        ] {
+        for name in ["resident", "service", "shuffle", "wire"] {
             let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                let snap = Snapshot::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-                assert_eq!(snap.bench, name);
-                assert!(!snap.rows.is_empty());
-            }
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            let snap = Snapshot::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(snap.bench, name);
+            assert!(!snap.rows.is_empty());
         }
     }
 }

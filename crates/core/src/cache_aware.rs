@@ -6,11 +6,11 @@
 //! processors of a CGM, split the permutation into (a) a random
 //! redistribution between `k` buckets governed by a communication matrix and
 //! (b) independent local shuffles of buckets small enough to stay
-//! cache-resident.  Phase (a) shuffles one cache-sized *window* of the
-//! input at a time and streams consecutive runs of it into the buckets with
-//! bulk moves (instead of the Fisher–Yates random writes over the whole
-//! array), and phase (b) only ever touches one cache-sized bucket at a
-//! time.
+//! cache-resident.  Phase (a) splits one cache-sized *window* of the input
+//! at a time into random runs (a partial shuffle inside the cache) and
+//! streams the runs into the buckets with bulk moves (instead of the
+//! Fisher–Yates random writes over the whole array), and phase (b) only
+//! ever touches one cache-sized bucket at a time.
 //!
 //! The construction mirrors Algorithm 1 exactly, with "virtual processors" =
 //! buckets, so uniformity follows from the same argument (Propositions 1–2):
@@ -20,12 +20,18 @@
 //! is the engine; [`LocalShuffle`] is the policy knob every layer of the
 //! stack (options, `Permuter`, sessions, the service) carries.
 //!
+//! The parallel pipeline does not call a whole local shuffle twice.  Its
+//! superstep 1 only needs a random *partition* of each block into the
+//! outgoing pieces, and its superstep 3 shuffles several received pieces
+//! into one block; `partition_into` and `shuffle_parts_into` are those two
+//! operations, for both engines, built on the same scatter kernel.
+//!
 //! Whether buckets beat plain Fisher–Yates depends on the machine's
 //! cache/memory ratio and on the working-set size — that crossover is
 //! measured by experiment E12 (`cgp-bench`, `exp_shuffle`) and baked into
 //! [`LocalShuffle::Auto`] as [`AUTO_CROSSOVER_BYTES`].
 
-use cgp_rng::RandomSource;
+use cgp_rng::{RandomExt, RandomSource};
 
 use crate::sequential::fisher_yates_shuffle;
 
@@ -64,9 +70,14 @@ pub const AUTO_CROSSOVER_BYTES: usize = 64 * 1024 * 1024;
 /// Item size (bytes of one `T`) past which [`LocalShuffle::Auto`] stays on
 /// Fisher–Yates regardless of the payload size.
 ///
-/// The scatter moves every item ~3 times (window shuffle, run drain,
-/// bucket shuffle + concat) where Fisher–Yates moves it ~2 times; for wide
-/// records the extra bulk copies dominate the latency the buckets save —
+/// Through one parallel job the bucketed engine moves every item six
+/// times — three in-cache shuffle passes (superstep 1's window partition,
+/// superstep 3's window partition and bucket shuffle) and three bulk copies
+/// (superstep 1's run drain, superstep 3's bucket drain and final append)
+/// — where Fisher–Yates moves it four times: a partial shuffle and a run
+/// drain in superstep 1, a concatenation and one full shuffle in
+/// superstep 3.  For wide records the extra bulk copies dominate the
+/// latency the buckets save —
 /// E12 measures 64-byte and 512-byte records losing ~2x with buckets even
 /// at DRAM-resident sizes, because a Fisher–Yates swap of a multi-line
 /// record is prefetch-friendly (sequential within the record).  Buckets
@@ -103,8 +114,8 @@ pub fn default_bucket_items<T>() -> usize {
 }
 
 /// Which algorithm the engine uses for its **local** (per-processor)
-/// shuffles — the superstep-1 and superstep-3 passes of Algorithm 1, and
-/// the sequential entry points.
+/// passes — the superstep-1 partition and the superstep-3 shuffle of
+/// Algorithm 1, and the sequential entry points.
 ///
 /// Every variant produces an exactly uniform permutation; they differ only
 /// in memory behaviour.  **Engines need not agree byte-for-byte**: for the
@@ -241,28 +252,65 @@ pub(crate) fn effective_bucket_items(n: usize, bucket_items: usize) -> usize {
     bucket_items.max(1).max(n.div_ceil(MAX_SCATTER_BUCKETS))
 }
 
-/// The scatter kernel every bucketed pass shares: drain `source` from its
-/// tail in windows of `window_items`, Fisher–Yates each (cache-resident)
-/// window in place, split it across the sinks by the multivariate
-/// hypergeometric law (Algorithm 2 against the sinks' `remaining` demand),
-/// and move the resulting **consecutive runs** with bulk tail drains.
+/// Moves the last `counts.iter().sum()` items of `source` into `sinks`,
+/// `sinks[s]` receiving `counts[s]` of them, as a uniformly random ordered
+/// set partition of those items.
 ///
-/// A uniformly shuffled window cut into consecutive runs of
-/// hypergeometric lengths is exactly the Proposition 1–2 construction of
-/// the paper's superstep 2, applied to buckets: the set of items each sink
-/// receives is a uniform subset of the window, and composing windows
-/// left-to-right is the conditional-split argument of Algorithm 2.  The
-/// within-sink order that the runs arrive in does not matter, because the
-/// engine's phase (b) re-shuffles every sink uniformly.
+/// Only the sets matter, not the order inside a sink, so the tail is never
+/// fully shuffled: a partial Fisher–Yates draws a uniform ordered sample
+/// into the slots behind the first largest run, those slots are cut into
+/// the other runs, and the largest run — the untouched rest — moves last.
+/// That is exactly `total − max(counts)` bounded draws, and none at all
+/// when a single sink takes everything.
+fn split_tail<T, R: RandomSource + ?Sized>(
+    rng: &mut R,
+    source: &mut Vec<T>,
+    counts: &[u64],
+    sinks: &mut [Vec<T>],
+) {
+    let total = counts.iter().sum::<u64>() as usize;
+    let start = source.len() - total;
+    let keep = (0..counts.len()).fold(0, |best, s| if counts[s] > counts[best] { s } else { best });
+    let stay = counts.get(keep).map_or(0, |&c| c as usize);
+    let tail = &mut source[start..];
+    for i in (stay..total).rev() {
+        let j = rng.gen_range_u64(i as u64 + 1) as usize;
+        tail.swap(i, j);
+    }
+    for s in (0..counts.len()).rev() {
+        if s != keep && counts[s] > 0 {
+            let cut = source.len() - counts[s] as usize;
+            sinks[s].extend(source.drain(cut..));
+        }
+    }
+    if stay > 0 {
+        sinks[keep].extend(source.drain(start..));
+    }
+    debug_assert_eq!(source.len(), start);
+}
+
+/// The scatter kernel every bucketed pass shares: drain `source` from its
+/// tail in windows of `window_items`, split each (cache-resident) window
+/// across the sinks by the multivariate hypergeometric law (Algorithm 2
+/// against the sinks' `remaining` demand), and move the resulting runs with
+/// bulk tail drains.
+///
+/// Each window is cut by [`split_tail`]: the set of items each sink
+/// receives is a uniform subset of the window — the Proposition 1–2
+/// construction of the paper's superstep 2, applied to buckets — and
+/// composing windows left-to-right is the conditional-split argument of
+/// Algorithm 2.  The within-sink order does not matter, because every
+/// caller re-shuffles each sink uniformly afterwards.
 ///
 /// Moving whole runs instead of dealing single items is what makes the
-/// scatter stream: per window, one in-cache shuffle plus `k` bulk
+/// scatter stream: per window, one partial in-cache shuffle plus `k` bulk
 /// `extend(drain(..))` copies — no per-item random sink writes.
 ///
 /// `remaining` may carry more total demand than `source` holds (the
-/// multi-window caller, e.g. the index specialization's chunk refills);
-/// each call consumes exactly `source.len()` demand.  `row` is
-/// caller-provided scratch of length `sinks.len()`.
+/// multi-source callers: the index specialization's chunk refills and
+/// [`shuffle_parts_into`]'s parts); each call consumes exactly
+/// `source.len()` demand.  `row` is caller-provided scratch of length
+/// `sinks.len()`.
 pub(crate) fn scatter_windows<T, R: RandomSource + ?Sized>(
     rng: &mut R,
     source: &mut Vec<T>,
@@ -277,19 +325,127 @@ pub(crate) fn scatter_windows<T, R: RandomSource + ?Sized>(
     let window_items = window_items.max(1);
     while !source.is_empty() {
         let take = window_items.min(source.len());
-        let start = source.len() - take;
-        fisher_yates_shuffle(rng, &mut source[start..]);
         cgp_hypergeom::multivariate_hypergeometric_into(rng, take as u64, remaining, row);
-        for (s, &count) in row.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            remaining[s] -= count;
-            let cut = source.len() - count as usize;
-            sinks[s].extend(source.drain(cut..));
+        for (left, &count) in remaining.iter_mut().zip(row.iter()) {
+            *left -= count;
         }
-        debug_assert_eq!(source.len(), start, "the row sums to the window size");
+        split_tail(rng, source, row, sinks);
     }
+}
+
+/// Superstep 1 of Algorithm 1: moves every item of `block` into `pieces`,
+/// `pieces[j]` receiving exactly `row[j]` of them, such that the split is a
+/// uniformly random ordered set partition of the block.
+///
+/// That is all Propositions 1–2 ask of the first superstep — the set of
+/// items sent to each target must be a uniform `a_ij`-subset, while their
+/// order inside a piece is erased by the final shuffle
+/// ([`shuffle_parts_into`]) — so the block is never fully shuffled:
+///
+/// * **Fisher–Yates:** one [`split_tail`] over the whole block — a partial
+///   Fisher–Yates over the last `m − max_j row[j]` slots, the largest piece
+///   being the untouched prefix.  Exactly `m − max_j row[j]` bounded
+///   draws, so a single-piece row (the `p = 1` case) draws nothing.
+/// * **Bucketed:** [`scatter_windows`] with the pieces as sinks and `row` as
+///   the demand — per item, a share of one partial in-cache window shuffle
+///   and one bulk move.  A block that fits one window takes the
+///   Fisher–Yates partition, as [`bucketed_shuffle_with`] falls back to
+///   plain Fisher–Yates.
+///
+/// `engine` is resolved against `block.len()` ([`LocalShuffle::resolve_for`]).
+/// The block is left empty with its capacity retained.  Each piece is
+/// cleared and sized for its count first: a cold piece gets exactly its
+/// count, a warm one is topped up with `reserve`, so recycled pieces keep
+/// their allocations across calls.
+pub(crate) fn partition_into<T, R: RandomSource + ?Sized>(
+    engine: LocalShuffle,
+    rng: &mut R,
+    block: &mut Vec<T>,
+    row: &[u64],
+    pieces: &mut [Vec<T>],
+    scratch: &mut BucketScratch<T>,
+) {
+    debug_assert_eq!(row.len(), pieces.len());
+    debug_assert_eq!(row.iter().sum::<u64>(), block.len() as u64);
+    for (piece, &count) in pieces.iter_mut().zip(row) {
+        piece.clear();
+        if piece.capacity() == 0 {
+            piece.reserve_exact(count as usize);
+        } else {
+            piece.reserve(count as usize);
+        }
+    }
+    let m = block.len();
+    if let LocalShuffle::Bucketed { bucket_items } = engine.resolve_for::<T>(m) {
+        let window = effective_bucket_items(m, bucket_items);
+        if m > window {
+            scratch.prepare_rows(row);
+            scatter_windows(
+                rng,
+                block,
+                window,
+                &mut scratch.remaining,
+                &mut scratch.row,
+                pieces,
+            );
+            return;
+        }
+    }
+    split_tail(rng, block, row, pieces);
+}
+
+/// Superstep 3 of Algorithm 1: uniformly shuffles the items of all `parts`
+/// into the empty `out`, draining every part (capacities retained).
+///
+/// * **Fisher–Yates:** concatenate, then one Fisher–Yates pass.
+/// * **Bucketed:** each part is scattered straight into the buckets of
+///   `scratch` ([`scatter_windows`] accepts more total demand than one part
+///   holds, so the parts simply take turns as its source), then every bucket
+///   is shuffled in cache and appended to `out` — no concatenation copy.
+///   A total that fits one bucket is concatenated and Fisher–Yates-shuffled,
+///   as in [`bucketed_shuffle_with`].
+///
+/// `engine` is resolved against the total item count.  The result is
+/// uniform whatever the parts' sizes and inner orders: the bucket counts of
+/// each part follow the law a uniform assignment induces, given the demand
+/// the earlier parts left (Algorithm 2's conditional split).
+pub(crate) fn shuffle_parts_into<T, R: RandomSource + ?Sized>(
+    engine: LocalShuffle,
+    rng: &mut R,
+    parts: &mut [Vec<T>],
+    out: &mut Vec<T>,
+    scratch: &mut BucketScratch<T>,
+) {
+    debug_assert!(out.is_empty());
+    let n: usize = parts.iter().map(Vec::len).sum();
+    out.reserve(n);
+    if let LocalShuffle::Bucketed { bucket_items } = engine.resolve_for::<T>(n) {
+        let bucket_items = effective_bucket_items(n, bucket_items);
+        if n > bucket_items {
+            let sizes = bucket_sizes(n, bucket_items);
+            let k = sizes.len();
+            scratch.prepare(&sizes);
+            for part in parts.iter_mut() {
+                scatter_windows(
+                    rng,
+                    part,
+                    bucket_items,
+                    &mut scratch.remaining,
+                    &mut scratch.row,
+                    &mut scratch.buckets[..k],
+                );
+            }
+            for bucket in &mut scratch.buckets[..k] {
+                fisher_yates_shuffle(rng, bucket);
+                out.append(bucket);
+            }
+            return;
+        }
+    }
+    for part in parts.iter_mut() {
+        out.append(part);
+    }
+    fisher_yates_shuffle(rng, out);
 }
 
 /// Reusable buffers for the bucketed engine: the per-bucket staging vectors
@@ -335,10 +491,16 @@ impl<T> BucketScratch<T> {
             bucket.clear();
             bucket.reserve(demand as usize);
         }
+        self.prepare_rows(demands);
+    }
+
+    /// Readies only the bookkeeping rows for sinks with the given demands:
+    /// `remaining` holds the demand vector, `row` is zeroed to its length.
+    fn prepare_rows(&mut self, demands: &[u64]) {
         self.remaining.clear();
         self.remaining.extend_from_slice(demands);
         self.row.clear();
-        self.row.resize(k, 0);
+        self.row.resize(demands.len(), 0);
     }
 }
 
@@ -357,9 +519,10 @@ impl<T> Default for BucketScratch<T> {
 /// [`fisher_yates_shuffle`] under the same generator state.
 ///
 /// Phase (a) drains the input from its tail in windows of `bucket_items`,
-/// shuffles each (cache-resident) window in place, samples the window's
-/// bucket counts from the multivariate hypergeometric law and moves the
-/// resulting consecutive runs into the per-bucket buffers with bulk drains;
+/// samples each window's bucket counts from the multivariate
+/// hypergeometric law, splits the (cache-resident) window into random runs
+/// of those sizes with a partial in-place shuffle and moves the runs into
+/// the per-bucket buffers with bulk drains;
 /// phase (b) shuffles each bucket in cache and concatenates into the
 /// emptied source allocation.  Random accesses therefore never span more
 /// than one window or one bucket at a time — everything else is streaming.
@@ -462,6 +625,146 @@ mod tests {
     use super::*;
     use crate::uniformity::{recommended_samples, test_uniformity};
     use cgp_rng::{CountingRng, Pcg64};
+
+    /// Runs [`partition_into`] on `0..m` and returns each item's piece.
+    fn partition_labels<R: RandomSource>(
+        engine: LocalShuffle,
+        rng: &mut R,
+        row: &[u64],
+        scratch: &mut BucketScratch<u64>,
+    ) -> Vec<usize> {
+        let m = row.iter().sum::<u64>() as usize;
+        let mut block: Vec<u64> = (0..m as u64).collect();
+        let mut pieces: Vec<Vec<u64>> = vec![Vec::new(); row.len()];
+        partition_into(engine, rng, &mut block, row, &mut pieces, scratch);
+        assert!(block.is_empty(), "the block is fully distributed");
+        let mut labels = vec![usize::MAX; m];
+        for (j, piece) in pieces.iter().enumerate() {
+            assert_eq!(
+                piece.len() as u64,
+                row[j],
+                "piece {j} has its prescribed size"
+            );
+            for &item in piece {
+                assert_eq!(labels[item as usize], usize::MAX, "item {item} sent twice");
+                labels[item as usize] = j;
+            }
+        }
+        labels
+    }
+
+    #[test]
+    fn partition_is_a_uniform_ordered_set_partition() {
+        // m = 6 split into sizes (3, 2, 1): 6! / (3! 2! 1!) = 60 ordered set
+        // partitions, each of which must appear with probability 1/60.  The
+        // Fisher–Yates engine keeps the largest piece in place; buckets of
+        // two force the windowed scatter over three windows.
+        let row = [3u64, 2, 1];
+        let mut codes: Vec<usize> = Vec::new();
+        for code in 0..3usize.pow(6) {
+            let digits: Vec<usize> = (0..6).map(|k| code / 3usize.pow(k) % 3).collect();
+            if (0..3).all(|j| digits.iter().filter(|&&d| d == j).count() as u64 == row[j]) {
+                codes.push(code);
+            }
+        }
+        assert_eq!(codes.len(), 60);
+        for (engine, seed) in [
+            (LocalShuffle::FisherYates, 51),
+            (LocalShuffle::Bucketed { bucket_items: 2 }, 52),
+        ] {
+            let mut rng = Pcg64::seed_from_u64(seed);
+            let mut scratch = BucketScratch::new();
+            let mut counts = vec![0u64; codes.len()];
+            for _ in 0..60 * 200 {
+                let labels = partition_labels(engine, &mut rng, &row, &mut scratch);
+                let code: usize = labels.iter().rev().fold(0, |acc, &j| acc * 3 + j);
+                let slot = codes.binary_search(&code).expect("a valid partition");
+                counts[slot] += 1;
+            }
+            let outcome = cgp_stats::chi_square::chi_square_uniform(&counts);
+            assert!(outcome.is_consistent_at(0.001), "{engine:?}: {outcome:?}");
+            assert!(
+                counts.iter().all(|&c| c > 0),
+                "{engine:?} missed a partition"
+            );
+        }
+    }
+
+    #[test]
+    fn fisher_yates_partition_draws_only_behind_the_largest_piece() {
+        let mut scratch = BucketScratch::new();
+        for row in [
+            vec![1_000u64],
+            vec![600, 300, 100],
+            vec![0, 250, 250, 500],
+            vec![7, 7, 7],
+            vec![0, 0],
+        ] {
+            let m = row.iter().sum::<u64>();
+            let largest = row.iter().copied().max().unwrap_or(0);
+            let mut rng = CountingRng::new(Pcg64::seed_from_u64(53));
+            partition_labels(LocalShuffle::FisherYates, &mut rng, &row, &mut scratch);
+            assert_eq!(rng.count(), m - largest, "row {row:?}");
+        }
+        // One piece (the p = 1 case) draws nothing with either engine, even
+        // when the bucketed engine has to scatter over several windows.
+        for engine in [
+            LocalShuffle::FisherYates,
+            LocalShuffle::Bucketed { bucket_items: 64 },
+        ] {
+            let mut rng = CountingRng::new(Pcg64::seed_from_u64(54));
+            let labels = partition_labels(engine, &mut rng, &[5_000], &mut scratch);
+            assert_eq!(rng.count(), 0, "{engine:?}");
+            assert!(labels.iter().all(|&j| j == 0));
+        }
+    }
+
+    #[test]
+    fn partition_keeps_recycled_piece_capacity() {
+        // Warm pieces are topped up, never shrunk or replaced; cold pieces
+        // get exactly their count.
+        let mut rng = Pcg64::seed_from_u64(55);
+        let mut scratch = BucketScratch::new();
+        let mut pieces: Vec<Vec<u64>> = vec![Vec::new(), Vec::with_capacity(500)];
+        let mut block: Vec<u64> = (0..300).collect();
+        partition_into(
+            LocalShuffle::FisherYates,
+            &mut rng,
+            &mut block,
+            &[120, 180],
+            &mut pieces,
+            &mut scratch,
+        );
+        assert_eq!(pieces[0].capacity(), 120);
+        assert!(pieces[1].capacity() >= 500);
+        assert_eq!(block.capacity(), 300, "the block keeps its allocation");
+    }
+
+    #[test]
+    fn shuffling_parts_is_uniform_for_both_engines() {
+        // n = 5 arriving as uneven parts (one empty): exhaustive chi-square.
+        // Buckets of two make the bucketed engine scatter the parts into
+        // three buckets instead of concatenating them.
+        for (engine, seed) in [
+            (LocalShuffle::FisherYates, 56),
+            (LocalShuffle::Bucketed { bucket_items: 2 }, 57),
+        ] {
+            let mut rng = Pcg64::seed_from_u64(seed);
+            let mut scratch = BucketScratch::new();
+            let mut parts: Vec<Vec<u64>> = vec![Vec::new(); 3];
+            let mut out = Vec::new();
+            let report = test_uniformity(5, recommended_samples(5, 60), |_| {
+                parts[0].extend([0, 1, 2]);
+                parts[2].extend([3, 4]);
+                out.clear();
+                shuffle_parts_into(engine, &mut rng, &mut parts, &mut out, &mut scratch);
+                assert!(parts.iter().all(Vec::is_empty), "every part is drained");
+                out.clone()
+            });
+            assert!(report.is_uniform_at(0.001), "{engine:?}: {report:?}");
+            assert!(report.covers_all_permutations(), "{engine:?}");
+        }
+    }
 
     #[test]
     fn output_is_a_permutation_for_various_bucket_sizes() {

@@ -11,13 +11,14 @@
 //! is one CGM program — they all run as **one fused job on one executor**
 //! (see the [`parallel`] module docs):
 //!
-//! 1. every processor shuffles its own block locally (Fisher–Yates),
-//!    overlapping the matrix phase;
-//! 2. a random **communication matrix** `A` is sampled with the exact
+//! 1. a random **communication matrix** `A` is sampled with the exact
 //!    distribution induced by a uniform permutation, *in-context* on the
 //!    same workers (delegated to the `sample_*_ctx` cores of
 //!    [`cgp-matrix`](cgp_matrix), selectable backend);
-//! 3. one all-to-all exchange moves `a_ij` items from processor `i` to
+//! 2. every processor `i` partitions its block into uniformly random
+//!    pieces of sizes `a_ij` (a random partition, not a full shuffle: the
+//!    order inside a piece never matters);
+//! 3. one all-to-all exchange moves piece `j` from processor `i` to
 //!    processor `j`;
 //! 4. every target processor shuffles what it received.
 //!
@@ -39,10 +40,10 @@
 //!
 //! ## Zero-copy exchange and the `T: Send` bound
 //!
-//! The data exchange of Algorithm 1 is move-based end to end: blocks are cut
-//! with tail drains, payloads travel through the machine by value, and the
-//! receive side concatenates into a buffer pre-sized from the prescribed
-//! `m'_j`.  Items are never cloned, so [`permute_blocks`]/[`permute_vec`]
+//! The data exchange of Algorithm 1 is move-based end to end: blocks are
+//! partitioned straight into their outgoing pieces, payloads travel through
+//! the machine by value, and the receive side shuffles the pieces into a
+//! buffer pre-sized from the prescribed `m'_j`.  Items are never cloned, so [`permute_blocks`]/[`permute_vec`]
 //! (and the [`Permuter`] facade) only require `T: Send`.  Three tiers of
 //! allocation behaviour are available:
 //!
@@ -59,6 +60,24 @@
 //!    fast path for payloads that are not `Send` or too heavy to ship:
 //!    permute `0..n` once in parallel, then gather locally by moves (no
 //!    `Clone` needed).
+//!
+//! ## Seeded-output contract
+//!
+//! A seed pins the output: for a fixed `(procs, seed, backend, resolved
+//! local-shuffle engine, target sizes)` every path emits the byte-identical
+//! permutation.  The output does **not** depend on the substrate (one-shot
+//! [`cgp_cgm::CgmMachine`] or resident [`cgp_cgm::ResidentCgm`]), on
+//! one-shot vs. session vs. [`PermutationService`], on coalescing, on work
+//! stealing, or on which fleet machine runs the job: every random stream
+//! is derived from the seed per call, never from executor history.
+//! [`LocalShuffle::Auto`] takes part through the engine it resolves to.
+//!
+//! The contract is versioned, and a change that moves seeded outputs is a
+//! deliberate bump recorded in `CHANGES.md`.  **Version 2** (current):
+//! superstep 1 draws a random partition instead of a full shuffle, which
+//! changed every seeded output; golden vectors in
+//! `tests/fused.rs::seeded_output_contract_v2_golden_permutations` pin it
+//! for every backend and both engines.
 
 pub mod baselines;
 pub mod cache_aware;

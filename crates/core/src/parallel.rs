@@ -2,19 +2,22 @@
 //! one executor**.
 //!
 //! ```text
-//! foreach P_i:  permute B_i locally                     (superstep 1)
 //! choose A = (a_ij) according to Problem 2              (matrix phase)
+//! foreach P_i:  split B_i into random a_ij-subsets      (superstep 1)
 //! foreach P_i:  send a_ij items to P'_j for every j     (superstep 2)
 //! foreach P'_j: receive a_ij items from every P_i
 //! foreach P'_j: permute B'_j locally                    (superstep 3)
 //! ```
 //!
-//! Correctness (Propositions 1–2): the first local shuffle makes the choice
-//! of *which* items travel from `B_i` to `B'_j` uniform among all
-//! `a_ij`-subsets, the final local shuffle makes the arrangement inside every
-//! target block uniform, and the matrix `A` is sampled with the probability
-//! a uniform permutation would induce — so every permutation is equally
-//! likely.
+//! Correctness (Propositions 1–2): superstep 1 makes the choice of *which*
+//! items travel from `B_i` to `B'_j` uniform among all `a_ij`-subsets, the
+//! final local shuffle makes the arrangement inside every target block
+//! uniform, and the matrix `A` is sampled with the probability a uniform
+//! permutation would induce — so every permutation is equally likely.  The
+//! paper's superstep 1 shuffles `B_i` and cuts it into consecutive runs;
+//! only the resulting *sets* matter, because superstep 3 erases the order
+//! inside every piece, so this engine draws the random partition directly
+//! (see [`crate::cache_aware`]'s `partition_into`).
 //!
 //! Balance and work-optimality (Proposition 1): every processor touches only
 //! its own `m_i` (resp. `m'_j`) items plus the `O(p)` row of `A`, and the
@@ -24,21 +27,24 @@
 //! # The fused single-program pipeline
 //!
 //! In the paper Algorithm 1 is *one* CGM program: the same `p` processors
-//! shuffle, sample the communication matrix (Algorithms 3–6), exchange, and
-//! shuffle again.  This engine runs it the same way: a **single**
+//! sample the communication matrix (Algorithms 3–6), split their blocks,
+//! exchange, and shuffle.  This engine runs it the same way: a **single**
 //! [`CgmExecutor::run_job`] in which every worker
 //!
-//! 1. shuffles its own block (superstep 1) — the shuffle is independent of
-//!    the matrix, so on the workers that are not (yet) involved in matrix
-//!    rounds it *overlaps* the sampling instead of serializing behind it;
-//! 2. participates in **in-context matrix sampling** on the machine's word
+//! 1. participates in **in-context matrix sampling** on the machine's word
 //!    plane ([`cgp_cgm::MatrixCtx`]): the two front-end backends
 //!    (`Sequential`/`Recursive`) sample the full matrix on processor 0 and
 //!    scatter the rows, as the paper prescribes; the parallel backends run
 //!    Algorithms 5/6 across all workers — each worker ends up holding its
 //!    own row of `A`;
-//! 3. cuts its shuffled block along that row, runs the all-to-all exchange
-//!    on the data plane, concatenates and re-shuffles (supersteps 2–3).
+//! 2. partitions its block straight into the outgoing pieces, piece `j`
+//!    a uniformly random `a_ij`-subset (superstep 1) — the Fisher–Yates
+//!    engine shuffles only the slots behind the largest piece, the bucketed
+//!    engine scatters cache-sized windows into the pieces;
+//! 3. runs the all-to-all exchange on the data plane (superstep 2) and
+//!    shuffles the received pieces into its target block (superstep 3) —
+//!    the bucketed engine scatters each piece straight into its buckets,
+//!    with no concatenation copy.
 //!
 //! No second machine is ever built: on a [`cgp_cgm::ResidentCgm`]-backed
 //! [`crate::PermutationSession`] a steady-state permutation therefore makes
@@ -54,23 +60,24 @@
 //!
 //! The matrix phase only ever handles `O(p·p')` words, so at small `p` the
 //! default `Sequential` backend (what the paper's own experiments used) is
-//! usually fastest: one worker samples a tiny matrix while the others
-//! overlap their superstep-1 shuffle, and no matrix-phase envelopes beyond
-//! the row scatter are exchanged.  The parallel backends pay `⌈log₂ p⌉`
+//! usually fastest: one worker samples a tiny matrix, and no matrix-phase
+//! envelopes beyond the row scatter are exchanged.  The phase is on every
+//! worker's critical path — superstep 1 needs the row — but at small `p`
+//! it costs microseconds.  The parallel backends pay `⌈log₂ p⌉`
 //! word-plane rounds of latency to cut the *head's* work from `O(p²)`
 //! (`Sequential`) to `Θ(p log p)` (`ParallelLog`, Algorithm 5) or the
 //! cost-optimal `Θ(p)` (`ParallelOptimal`, Algorithm 6) — they win once
 //! `p²` work on one processor rivals `m = n/p` work on all of them, i.e.
-//! for large machines or small blocks.  Measure with `exp_crossover` /
-//! `exp_fused` on your host when in doubt.
+//! for large machines or small blocks.  Measure with `exp_crossover` on
+//! your host when in doubt.
 //!
 //! # Zero-copy exchange
 //!
-//! The data-exchange phase is **move-based end to end**: the shuffled block
-//! is cut into the `a_ij` runs by draining its tail (each item is moved
-//! exactly once, never cloned), the payload vectors travel through
-//! [`cgp_cgm::Communicator::all_to_all`] by value, and the receive side
-//! concatenates with `Vec::append` into a buffer pre-sized from the
+//! The data-exchange phase is **move-based end to end**: superstep 1 moves
+//! every item of the block exactly once, straight into its outgoing piece
+//! (never cloned), the payload vectors travel through
+//! [`cgp_cgm::Communicator::all_to_all`] by value, and superstep 3 shuffles
+//! the received pieces into the emptied block, pre-sized from the
 //! prescribed target size `m'_j` — so `O(m)` memory per processor holds with
 //! a constant factor of one, matching Theorem 1's cost model.  Consequently
 //! the item type only needs to be `Send`; `Clone` is *not* required.
@@ -87,7 +94,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::cache_aware::{BucketScratch, LocalShuffle};
+use crate::cache_aware::{partition_into, shuffle_parts_into, BucketScratch, LocalShuffle};
 use crate::config::{EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
 use cgp_cgm::{
     BatchJobOutcome, BlockDistribution, CgmError, CgmExecutor, CgmMachine, MachineMetrics, ProcCtx,
@@ -102,12 +109,11 @@ use cgp_matrix::{
 /// matrix.
 ///
 /// Since the pipeline is fused into one run, the phase timings are
-/// measured **in-run** (each worker clocks its own phases; the report
-/// carries the maximum over workers) and the phases can overlap — the
-/// superstep-1 shuffle of an idle worker proceeds while the head still
-/// samples.  [`PermutationReport::total_elapsed`] is therefore the
+/// measured **in-run**: each worker clocks its own phases and the report
+/// carries the maximum over workers, so the maxima may come from different
+/// workers.  [`PermutationReport::total_elapsed`] is therefore the
 /// *measured wall-clock of the whole run*, not the sum of the phase
-/// durations (which could double-count overlap).
+/// durations.
 #[derive(Debug)]
 pub struct PermutationReport {
     /// Which matrix-sampling backend was used.
@@ -118,16 +124,19 @@ pub struct PermutationReport {
     /// [`crate::cache_aware::AUTO_CROSSOVER_BYTES`]).
     pub local_shuffle: LocalShuffle,
     /// In-run wall-clock time of the matrix phase: the maximum over
-    /// workers of the time spent inside the in-context sampler.
+    /// workers of the time spent inside the in-context sampler.  The
+    /// matrix phase runs first, so this is sampling plus the row scatter
+    /// and nothing else (no worker's local work is waited for here).
     pub matrix_elapsed: Duration,
     /// In-run wall-clock time of the data phase: the maximum over workers
-    /// of the time spent in the shuffle + cut + exchange + shuffle steps.
+    /// of the time spent in the partition (superstep 1), the all-to-all
+    /// exchange (superstep 2) and the final shuffle (superstep 3).
     pub exchange_elapsed: Duration,
-    /// In-run wall-clock time of the local shuffles alone: the maximum
-    /// over workers of superstep-1 plus superstep-3 shuffle time.  This is
-    /// a *subset* of [`PermutationReport::exchange_elapsed`] (the data
-    /// phase contains both shuffle passes), split out so benches can
-    /// attribute engine wins per phase.
+    /// In-run wall-clock time of the local passes alone: the maximum over
+    /// workers of the superstep-1 partition plus the superstep-3 shuffle.
+    /// This is a *subset* of [`PermutationReport::exchange_elapsed`] (the
+    /// data phase contains both passes), split out so benches can
+    /// attribute engine wins per phase; the difference is the exchange.
     pub shuffle_elapsed: Duration,
     /// Metered word-plane communication of the matrix phase.  Every
     /// backend gets a meter: the parallel backends record their
@@ -146,9 +155,9 @@ pub struct PermutationReport {
 
 impl PermutationReport {
     /// Measured wall-clock time of the whole permutation, caller to
-    /// caller.  Because the fused phases overlap, this is at least
-    /// `max(matrix_elapsed, exchange_elapsed)` but may be **less than
-    /// their sum**.
+    /// caller: at least `max(matrix_elapsed, exchange_elapsed)`.  The
+    /// per-phase figures are maxima over workers, so their sum may exceed
+    /// it.
     pub fn total_elapsed(&self) -> Duration {
         self.total_elapsed
     }
@@ -231,6 +240,11 @@ impl<T> Default for PermuteScratch<T> {
         PermuteScratch::new()
     }
 }
+
+/// Index of the child seed sequence the local passes draw their
+/// per-processor streams from — kept apart from the matrix samplers'
+/// streams so the partition and the shuffles are independent of `A`.
+const SHUFFLE_STREAM: u64 = 0x5AFE_B10C;
 
 /// Fail-fast check that one block per processor was supplied, phrased for
 /// the calling thread (same policy as
@@ -339,7 +353,7 @@ fn plan_job<T: Send>(
 }
 
 /// Builds the per-processor job closure for a staged plan — the whole of
-/// Algorithm 1 (superstep-1 shuffle, in-context matrix sampling, cut,
+/// Algorithm 1 (in-context matrix sampling, superstep-1 partition,
 /// all-to-all exchange, superstep-3 shuffle) as one closure every virtual
 /// processor runs.
 ///
@@ -362,25 +376,19 @@ fn worker_closure<T: Send + 'static>(
         let p = ctx.procs();
         // The in-context matrix samplers draw from their own per-call
         // derived streams (`MatrixCtx::sampling_rng` / the named front-end
-        // stream); the local shuffles must be statistically independent of
-        // the sampled matrix, so this phase derives its own per-processor
+        // stream); the local passes must be statistically independent of
+        // the sampled matrix, so they derive their own per-processor
         // streams from the master seed.
-        let mut shuffle_rng = ctx.seeds().child_sequence(0x5AFE_B10C).proc_stream(id);
+        let mut shuffle_rng = ctx.seeds().child_sequence(SHUFFLE_STREAM).proc_stream(id);
 
-        // Superstep 1: local shuffle of the own block.  Independent of the
-        // matrix, so on workers that are not (yet) involved in a sampling
-        // round it overlaps the matrix phase instead of waiting for it.
+        // Matrix phase, in-context on the word plane: this worker ends up
+        // holding its own row of `A`.  It comes first because superstep 1
+        // needs the row to know how many items go to each target.
         ctx.superstep();
         let (mut block, mut outgoing, mut buckets) = slots[id]
             .lock()
             .take()
             .expect("each processor takes its block exactly once");
-        let shuffle_started = Instant::now();
-        local_shuffle.shuffle_vec_with(&mut shuffle_rng, &mut block, &mut buckets);
-        let mut shuffle_elapsed = shuffle_started.elapsed();
-
-        // Matrix phase, in-context on the word plane: this worker ends up
-        // holding its own row of `A`.
         if let Some(f) = fault {
             if f.proc == id && f.phase == FaultPhase::Matrix {
                 panic!("injected engine fault (matrix phase)");
@@ -405,16 +413,12 @@ fn worker_closure<T: Send + 'static>(
             }
         };
         let matrix_elapsed = matrix_started.elapsed();
-        let data_started = Instant::now();
 
-        // Superstep 2: cut the shuffled block according to row `id` of A and
-        // exchange.  Because the block was just shuffled, taking consecutive
-        // runs of length a_ij is a uniformly random choice of which items go
-        // where.  The cut *moves* the items — no clone: the highest column
-        // is carved off first, so each run is the then-current tail of the
-        // block.  A cold piece is carved with `split_off` (one bulk memmove);
-        // a warm recycled piece is refilled by draining the tail into it,
-        // keeping its allocation alive across calls.
+        // Supersteps 1–2: partition the block into uniformly random pieces
+        // of sizes a_ij (row `id` of A) and exchange them.  The order
+        // inside a piece is irrelevant — superstep 3 erases it — so the
+        // block is partitioned, never fully shuffled.  Items are moved,
+        // never cloned, into the recycled outgoing buffers.
         ctx.superstep();
         if let Some(f) = fault {
             if f.proc == id && f.phase == FaultPhase::Exchange {
@@ -422,45 +426,37 @@ fn worker_closure<T: Send + 'static>(
             }
         }
         debug_assert_eq!(row.len(), p, "resolve_target_sizes guarantees p' == p");
+        let data_started = Instant::now();
         outgoing.resize_with(p, Vec::new);
-        for j in (0..p).rev() {
-            let count = row[j] as usize;
-            let tail = block.len() - count;
-            let piece = &mut outgoing[j];
-            if piece.capacity() == 0 {
-                *piece = block.split_off(tail);
-            } else {
-                piece.clear();
-                piece.reserve(count);
-                piece.extend(block.drain(tail..));
-            }
-        }
-        debug_assert!(block.is_empty());
-        let incoming = ctx.comm_mut().all_to_all(outgoing, 0);
+        partition_into(
+            local_shuffle,
+            &mut shuffle_rng,
+            &mut block,
+            &row,
+            &mut outgoing,
+            &mut buckets,
+        );
+        let mut shuffle_elapsed = data_started.elapsed();
+        let mut incoming = ctx.comm_mut().all_to_all(outgoing, 0);
 
-        // Superstep 3: concatenate what was received and shuffle it locally.
-        // The emptied source block becomes the receive buffer (its capacity
-        // is reused; `reserve` tops it up to the prescribed m'_j), and the
-        // drained payload vectors are kept as shells for the next call.
+        // Superstep 3: shuffle what was received into the emptied source
+        // block (its capacity is reused as the receive buffer); the drained
+        // payload vectors are kept as shells for the next call.
         ctx.superstep();
-        let mut new_block = block;
-        new_block.reserve(target_ref[id] as usize);
-        let mut shells: Vec<Vec<T>> = Vec::with_capacity(p);
-        for mut part in incoming {
-            new_block.append(&mut part);
-            shells.push(part);
-        }
         let reshuffle_started = Instant::now();
-        local_shuffle.shuffle_vec_with(&mut shuffle_rng, &mut new_block, &mut buckets);
-        let reshuffle_elapsed = reshuffle_started.elapsed();
-        // The data phase ran from the end of the matrix phase and contains
-        // the cut, the exchange, the concat and the reshuffle; superstep 1
-        // overlapped the matrix phase and is added on top.
-        let data_elapsed = shuffle_elapsed + data_started.elapsed();
-        shuffle_elapsed += reshuffle_elapsed;
+        let mut new_block = block;
+        shuffle_parts_into(
+            local_shuffle,
+            &mut shuffle_rng,
+            &mut incoming,
+            &mut new_block,
+            &mut buckets,
+        );
+        shuffle_elapsed += reshuffle_started.elapsed();
+        let data_elapsed = data_started.elapsed();
         (
             new_block,
-            shells,
+            incoming,
             buckets,
             row,
             matrix_elapsed,
@@ -983,6 +979,16 @@ mod tests {
         let (out, report) = permute_vec(&machine, data, &PermuteOptions::default());
         assert!(is_permutation_of_identity(&out));
         assert_eq!(report.exchange_metrics.total_messages(), 0);
+
+        // Superstep 1 keeps the single piece in place and draws nothing, so
+        // the whole job is exactly one Fisher–Yates pass over the processor's
+        // shuffle stream — the sequential floor.
+        let mut rng = cgp_rng::SeedSequence::new(5)
+            .child_sequence(SHUFFLE_STREAM)
+            .proc_stream(0);
+        let mut floor: Vec<u64> = (0..100).collect();
+        crate::sequential::fisher_yates_shuffle(&mut rng, &mut floor);
+        assert_eq!(out, floor);
     }
 
     #[test]

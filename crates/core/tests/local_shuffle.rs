@@ -1,11 +1,17 @@
 //! Integration tests of the [`LocalShuffle`] engine choice through the
 //! full Algorithm 1 pipeline: exhaustive chi-square uniformity per
-//! engine × matrix backend, Lehmer-rank spot checks, the
-//! `Auto`-equals-Fisher–Yates determinism invariant below the crossover,
-//! and engine validity over arbitrary shapes.
+//! engine × matrix backend (one-shot, on a resident pool, and as a
+//! coalesced batch, over uneven, prescribed and empty blocks), Lehmer-rank
+//! spot checks, the `Auto`-equals-Fisher–Yates determinism invariant below
+//! the crossover, and engine validity over arbitrary shapes.
 
+use cgp_cgm::{CgmConfig, CgmMachine, ResidentCgm};
 use cgp_core::uniformity::{recommended_samples, test_uniformity};
-use cgp_core::{LocalShuffle, MatrixBackend, Permuter, AUTO_CROSSOVER_BYTES};
+use cgp_core::{
+    permute_vec, try_permute_batch_into_with, try_permute_vec_into_with, BatchOutcome,
+    LocalShuffle, MatrixBackend, PermuteOptions, PermuteScratch, Permuter, AUTO_CROSSOVER_BYTES,
+};
+use cgp_stats::chi_square::chi_square_uniform;
 use cgp_stats::{factorial, permutation_rank};
 use proptest::prelude::*;
 
@@ -47,6 +53,104 @@ fn bucketed_and_auto_pipelines_are_uniform_for_every_backend() {
             );
         }
     }
+}
+
+/// Exhaustive chi-square at `n = 4/5` of every path that emits a
+/// permutation — one-shot, a resident pool (the session path) and a
+/// coalesced batch (the entry the service's coalescer runs) — for both
+/// engines × all four matrix backends, on `n` items over `procs`
+/// processors with the target sizes optionally prescribed.
+///
+/// Every seed must give the same permutation on all three paths (the
+/// seeded-output contract), so one chi-square per configuration covers
+/// all three: its permutations must hit all `n!` outcomes with
+/// probability `1/n!`.  `bucket_items` is chosen per shape so that the
+/// bucketed engine takes the windowed scatter rather than its
+/// single-window Fisher–Yates fallback.
+fn assert_every_path_uniform(
+    procs: usize,
+    n: usize,
+    targets: Option<&[u64]>,
+    bucket_items: usize,
+    per_bucket: u64,
+) {
+    let mut configs = Vec::new();
+    for engine in [
+        LocalShuffle::FisherYates,
+        LocalShuffle::Bucketed { bucket_items },
+    ] {
+        for backend in MatrixBackend::ALL {
+            let mut options = PermuteOptions::with_backend(backend).local_shuffle(engine);
+            if let Some(targets) = targets {
+                options = options.target_sizes(targets.to_vec());
+            }
+            configs.push(options);
+        }
+    }
+    let identity: Vec<u64> = (0..n as u64).collect();
+    let mut counts = vec![vec![0u64; factorial(n) as usize]; configs.len()];
+    for rep in 0..factorial(n) * per_bucket {
+        let config = CgmConfig::new(procs).with_seed(0xC0A1_E5CE + rep);
+        let machine = CgmMachine::new(config);
+        let mut pool: ResidentCgm<u64> = ResidentCgm::new(config);
+        let mut scratch = PermuteScratch::new();
+        let mut solo = Vec::with_capacity(configs.len());
+        for options in &configs {
+            let one_shot = permute_vec(&machine, identity.clone(), options).0;
+            let mut on_pool = identity.clone();
+            try_permute_vec_into_with(&mut pool, &mut on_pool, options, &mut scratch)
+                .expect("the pool job runs");
+            assert_eq!(on_pool, one_shot, "pool vs one-shot, {options:?}");
+            solo.push(one_shot);
+        }
+        let jobs = configs
+            .iter()
+            .map(|options| (identity.clone(), options.clone()))
+            .collect();
+        let outcomes =
+            try_permute_batch_into_with(&mut pool, jobs, &mut Vec::new()).expect("the batch runs");
+        for (k, outcome) in outcomes.into_iter().enumerate() {
+            let BatchOutcome::Done { data, .. } = outcome else {
+                panic!("batch job {k} did not complete: {outcome:?}");
+            };
+            assert_eq!(data, solo[k], "batch vs solo, {:?}", configs[k]);
+            let as_u32: Vec<u32> = data.iter().map(|&x| x as u32).collect();
+            counts[k][permutation_rank(&as_u32) as usize] += 1;
+        }
+    }
+    for (options, counts) in configs.iter().zip(&counts) {
+        let outcome = chi_square_uniform(counts);
+        assert!(
+            outcome.is_consistent_at(0.001),
+            "p = {procs}, n = {n}, {options:?}: {outcome:?}"
+        );
+        assert!(
+            counts.iter().all(|&c| c > 0),
+            "p = {procs}, n = {n}, {options:?} missed a permutation"
+        );
+    }
+}
+
+/// Uneven blocks: `n = 4` over `p = 3` splits as (2, 1, 1); one-item
+/// buckets make even these tiny blocks scatter.
+#[test]
+fn every_path_is_uniform_with_uneven_blocks() {
+    assert_every_path_uniform(3, 4, None, 1, 50);
+}
+
+/// Uneven blocks (3, 2) into the prescribed targets (1, 4).  Buckets of
+/// two scatter the 3-item block over two windows and shuffle the 4-item
+/// target as two two-item buckets, so the bucket shuffles matter.
+#[test]
+fn every_path_is_uniform_with_prescribed_target_sizes() {
+    assert_every_path_uniform(2, 5, Some(&[1, 4]), 2, 20);
+}
+
+/// More processors than items: `n = 4` over `p = 6` leaves two blocks, and
+/// two target blocks, empty.
+#[test]
+fn every_path_is_uniform_with_empty_blocks() {
+    assert_every_path_uniform(6, 4, None, 1, 50);
 }
 
 /// Lehmer spot checks at `n = 6`: every rank an engine produces is a
