@@ -20,23 +20,9 @@
 //! exits 1 if any paired `speedup`/`warm_speedup` ratio regressed by more
 //! than the shared tolerance (see `cgp_bench::snapshot`).
 
-use cgp_bench::experiments::{resident, ResidentRow};
+use cgp_bench::experiments::{resident, resident_shape_check, ResidentRow};
 use cgp_bench::snapshot::{self, Snapshot};
 use cgp_bench::Table;
-
-fn parse_csv(arg: Option<&String>, default: &[usize]) -> Vec<usize> {
-    match arg.filter(|s| !s.trim().is_empty()) {
-        Some(s) => s
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("not a number in list: {part:?}"))
-            })
-            .collect(),
-        None => default.to_vec(),
-    }
-}
 
 fn to_snapshot(rows: &[ResidentRow]) -> Snapshot {
     let mut snap = Snapshot::new("resident");
@@ -72,8 +58,8 @@ fn main() {
             .cloned()
             .unwrap_or_else(|| "fresh_resident.json".into());
     } else {
-        ns = parse_csv(args.first(), &[10_000, 100_000, 1_000_000]);
-        ps = parse_csv(args.get(1), &[2, 4, 8]);
+        ns = snapshot::parse_csv(args.first(), &[10_000, 100_000, 1_000_000]);
+        ps = snapshot::parse_csv(args.get(1), &[2, 4, 8]);
         out_path = args
             .get(2)
             .cloned()
@@ -108,32 +94,12 @@ fn main() {
     let fresh = to_snapshot(&rows);
     fresh.write(&out_path);
 
-    // The headline cell of the acceptance criterion: p = 8, n = 1e5 (or the
-    // closest measured configuration when run with custom grids).
-    let headline = rows
-        .iter()
-        .filter(|r| r.procs == 8 && r.n == 100_000)
-        .chain(rows.iter())
-        .next()
-        .expect("at least one row");
-    if headline.speedup() > 1.0 {
-        println!(
-            "resident session is {:.2}x faster than the per-call path it replaces \
-             at p = {}, n = {} ({:.2}x of that from startup amortization alone)",
-            headline.speedup(),
-            headline.procs,
-            headline.n,
-            headline.warm_speedup()
-        );
-    } else {
-        println!(
-            "WARNING: resident session not faster ({:.2}x at p = {}, n = {}) — \
-             investigate before relying on this snapshot",
-            headline.speedup(),
-            headline.procs,
-            headline.n
-        );
-    }
+    let check = resident_shape_check(&rows);
+    let verdict = if check.pass { "PASS" } else { "FAIL" };
+    println!(
+        "shape check:\n  {verdict} {} — {}",
+        check.claim, check.measured
+    );
 
     if let Some(committed) = &committed {
         let outcome = snapshot::check_ratios(

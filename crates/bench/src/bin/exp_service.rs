@@ -30,20 +30,6 @@ use cgp_bench::experiments::{service, service_scenarios, ServiceRow};
 use cgp_bench::snapshot::{self, Snapshot, Value};
 use cgp_bench::Table;
 
-fn parse_csv(arg: Option<&String>, default: &[usize]) -> Vec<usize> {
-    match arg.filter(|s| !s.trim().is_empty()) {
-        Some(s) => s
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("not a number in list: {part:?}"))
-            })
-            .collect(),
-        None => default.to_vec(),
-    }
-}
-
 fn parse_num(arg: Option<&String>, default: usize) -> usize {
     arg.and_then(|a| a.parse().ok()).unwrap_or(default)
 }
@@ -133,8 +119,8 @@ fn main() {
     } else {
         n = parse_num(args.first(), 1024);
         procs = parse_num(args.get(1), 4);
-        clients_grid = parse_csv(args.get(2), &[1, 4, 16, 64]);
-        machines_grid = parse_csv(args.get(3), &[1, 2, 4]);
+        clients_grid = snapshot::parse_csv(args.get(2), &[1, 4, 16, 64]);
+        machines_grid = snapshot::parse_csv(args.get(3), &[1, 2, 4]);
         jobs_total = parse_num(args.get(4), 192);
         out_path = args
             .get(5)

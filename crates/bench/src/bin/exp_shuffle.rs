@@ -31,20 +31,6 @@ use cgp_bench::snapshot::{self, Snapshot, Value};
 use cgp_bench::Table;
 use cgp_core::{AUTO_CROSSOVER_BYTES, AUTO_MAX_ITEM_BYTES};
 
-fn parse_csv(arg: Option<&String>, default: &[usize]) -> Vec<usize> {
-    match arg.filter(|s| !s.trim().is_empty()) {
-        Some(s) => s
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("not a number in list: {part:?}"))
-            })
-            .collect(),
-        None => default.to_vec(),
-    }
-}
-
 /// Distinct `n` values of the rows with the given scope, in first-seen
 /// order — the committed grid is re-derived per scope because the raw and
 /// session grids differ.
@@ -107,11 +93,11 @@ fn main() {
             .cloned()
             .unwrap_or_else(|| "fresh_shuffle.json".into());
     } else {
-        raw_ns = parse_csv(
+        raw_ns = snapshot::parse_csv(
             args.first(),
             &[1_000_000, 4_000_000, 16_000_000, 64_000_000],
         );
-        session_ns = parse_csv(args.get(1), &[1_000_000, 16_000_000]);
+        session_ns = snapshot::parse_csv(args.get(1), &[1_000_000, 16_000_000]);
         p = args
             .get(2)
             .map(|s| s.parse().expect("p must be a number"))

@@ -27,20 +27,6 @@ use cgp_bench::experiments::{wire_overhead, WireRow};
 use cgp_bench::snapshot::{self, Snapshot};
 use cgp_bench::Table;
 
-fn parse_csv(arg: Option<&String>, default: &[usize]) -> Vec<usize> {
-    match arg.filter(|s| !s.trim().is_empty()) {
-        Some(s) => s
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("not a number in list: {part:?}"))
-            })
-            .collect(),
-        None => default.to_vec(),
-    }
-}
-
 fn to_snapshot(rows: &[WireRow]) -> Snapshot {
     let mut snap = Snapshot::new("wire").meta("payload", "u64");
     for r in rows {
@@ -74,7 +60,7 @@ fn main() {
             .cloned()
             .unwrap_or_else(|| "fresh_wire.json".into());
     } else {
-        ns = parse_csv(args.first(), &[10_000, 100_000, 1_000_000]);
+        ns = snapshot::parse_csv(args.first(), &[10_000, 100_000, 1_000_000]);
         procs = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(2);
         out_path = args
             .get(2)

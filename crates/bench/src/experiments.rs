@@ -218,10 +218,11 @@ pub fn scaling(n: usize, procs: &[usize], backend: MatrixBackend, seed: u64) -> 
         .collect()
 }
 
-/// One of the paper's §6 claims, checked against measured E3 rows.
+/// A claim checked against measured rows: the paper's §6 claims for E3,
+/// the session's amortization for E9.
 #[derive(Debug, Clone)]
 pub struct ShapeCheck {
-    /// The claim, as the paper makes it.
+    /// The claim, as made.
     pub claim: &'static str,
     /// Whether the measured rows bear it out.
     pub pass: bool,
@@ -791,6 +792,31 @@ pub fn resident(ns: &[usize], ps: &[usize], seed: u64) -> Vec<ResidentRow> {
         }
     }
     rows
+}
+
+/// E9's claim, computed from the rows: the resident session is faster than
+/// the per-call path it replaces at the headline cell `p = 8, n = 1e5` (the
+/// first row when a custom grid omits that cell).
+///
+/// # Panics
+/// Panics on an empty row set.
+pub fn resident_shape_check(rows: &[ResidentRow]) -> ShapeCheck {
+    let headline = rows
+        .iter()
+        .find(|r| r.procs == 8 && r.n == 100_000)
+        .or_else(|| rows.first())
+        .expect("at least one row");
+    ShapeCheck {
+        claim: "the resident session is faster than the per-call path it replaces",
+        pass: headline.speedup() > 1.0,
+        measured: format!(
+            "p={}, n={}: {:.2}x ({:.2}x from startup amortization alone)",
+            headline.procs,
+            headline.n,
+            headline.speedup(),
+            headline.warm_speedup()
+        ),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1451,6 +1477,30 @@ mod tests {
             assert!(r.speedup() > 0.0);
             assert!(r.warm_speedup() > 0.0);
         }
+    }
+
+    #[test]
+    fn resident_shape_check_reads_the_headline_cell() {
+        let row = |procs: usize, n: usize, speedup: f64| ResidentRow {
+            n,
+            procs,
+            one_shot_elapsed: Duration::from_millis(1),
+            spawn_warm_elapsed: Duration::from_millis(1),
+            resident_elapsed: Duration::from_millis(1),
+            speedup_paired: speedup,
+            warm_speedup_paired: 1.1,
+        };
+        let check = resident_shape_check(&[row(2, 10_000, 0.5), row(8, 100_000, 1.3)]);
+        assert!(check.pass, "{check:?}");
+        assert_eq!(
+            check.measured,
+            "p=8, n=100000: 1.30x (1.10x from startup amortization alone)"
+        );
+        // A custom grid without the headline cell falls back to its first
+        // row, and a slower session fails the claim.
+        let check = resident_shape_check(&[row(2, 10_000, 0.9), row(4, 10_000, 1.5)]);
+        assert!(!check.pass, "{check:?}");
+        assert!(check.measured.starts_with("p=2, n=10000: 0.90x"));
     }
 
     #[test]

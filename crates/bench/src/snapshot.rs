@@ -355,6 +355,25 @@ pub fn check_ratios(
     CheckOutcome { failures, compared }
 }
 
+/// Parses a comma-separated list of counts (a grid axis on the command
+/// line), or returns `default` when the argument is missing or blank.
+///
+/// # Panics
+/// Panics naming the offending entry when one is not a number.
+pub fn parse_csv(arg: Option<&String>, default: &[usize]) -> Vec<usize> {
+    match arg.filter(|s| !s.trim().is_empty()) {
+        Some(s) => s
+            .split(',')
+            .map(|part| {
+                part.trim()
+                    .parse()
+                    .unwrap_or_else(|_| panic!("not a number in list: {part:?}"))
+            })
+            .collect(),
+        None => default.to_vec(),
+    }
+}
+
 /// Pulls a `--check <path>` pair out of a raw argument list, returning the
 /// path and the remaining positional arguments.
 pub fn split_check_arg(args: Vec<String>) -> (Option<String>, Vec<String>) {
@@ -591,6 +610,16 @@ mod tests {
         let outcome = check_ratios(&committed, &fresh, &["payload", "n"], &["speedup"]);
         assert!(outcome.passed());
         assert_eq!(outcome.compared, 0);
+    }
+
+    #[test]
+    fn parse_csv_reads_a_grid_axis_or_falls_back() {
+        assert_eq!(
+            parse_csv(Some(&" 1, 20 ,300".to_string()), &[7]),
+            vec![1, 20, 300]
+        );
+        assert_eq!(parse_csv(Some(&"  ".to_string()), &[7, 8]), vec![7, 8]);
+        assert_eq!(parse_csv(None, &[7]), vec![7]);
     }
 
     #[test]

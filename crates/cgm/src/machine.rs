@@ -317,24 +317,27 @@ pub enum BatchJobOutcome<R> {
     /// The sub-job ran on every processor; results and per-sub-job metrics.
     Done(RunOutcome<R>),
     /// The sub-job panicked inside a virtual processor (the error names
-    /// it).  Its inputs are lost, exactly as with a failed
-    /// [`CgmExecutor::try_run_job`].
+    /// it).  Its inputs are lost.
     Failed(CgmError),
     /// A preceding sub-job failed; this one was never started.
     Skipped,
 }
 
-/// Anything that can run one CGM job — a closure executed on every virtual
+/// Anything that can run CGM jobs — closures executed on every virtual
 /// processor with [`ProcCtx`] semantics — and hand back the per-processor
 /// results plus the metered communication.
 ///
 /// Two implementations exist: [`CgmMachine`] (one-shot: spawns `p` OS
-/// threads and builds the channel fabric *per call*) and
+/// threads and builds the channel fabric *per job*) and
 /// [`crate::ResidentCgm`] (a resident worker pool that spawns and wires up
 /// once, then parks between jobs).  Algorithms written against this trait —
 /// like the permutation engine in `cgp-core` — run unchanged on either,
 /// which is what lets a session amortize startup across repeated calls
 /// without forking the algorithm code.
+///
+/// [`CgmExecutor::try_run_batch`] is the one required run method; a solo
+/// job ([`CgmExecutor::run_job`], [`CgmExecutor::try_run_job`]) is a batch
+/// of one.
 ///
 /// Job closures must be `'static` (the resident pool hands them to
 /// long-lived threads); shared inputs travel in `Arc`s, per-processor
@@ -372,23 +375,43 @@ pub trait CgmExecutor<T: Send + 'static> {
     fn try_run_job<R, F>(&mut self, f: F) -> Result<RunOutcome<R>, CgmError>
     where
         R: Send + 'static,
-        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static;
+        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
+    {
+        match self.try_run_batch(vec![f])?.pop() {
+            Some(BatchJobOutcome::Done(outcome)) => Ok(outcome),
+            Some(BatchJobOutcome::Failed(e)) => Err(e),
+            Some(BatchJobOutcome::Skipped) | None => {
+                unreachable!("a batch of one runs its only sub-job")
+            }
+        }
+    }
 
     /// Runs a **batch** of jobs back to back, stopping at the first failure
     /// (the failing sub-job is reported [`BatchJobOutcome::Failed`], every
     /// later one [`BatchJobOutcome::Skipped`] with its closure never
-    /// invoked).  The default implementation loops
-    /// [`CgmExecutor::try_run_job`]; [`crate::ResidentCgm`] overrides it
-    /// with a fused dispatch that wakes its workers **once** for the whole
-    /// batch — the wake/fence amortization a job-coalescing scheduler needs.
+    /// invoked).  The outcomes are positional: `out[k]` describes `fs[k]`.
+    /// [`crate::ResidentCgm`] wakes its workers **once** for the whole
+    /// batch — the wake/fence amortization a job-coalescing scheduler
+    /// needs; [`CgmMachine`] runs each sub-job on its own freshly spawned
+    /// machine.
     ///
-    /// Semantics are identical either way: each sub-job starts a fresh
-    /// generation on the fabric, meters its own communication, and sees
-    /// exactly the context state a solo [`CgmExecutor::try_run_job`] run
-    /// would (derived random streams are per-call, so a batched sub-job
-    /// produces byte-identical results to a solo run).  The outer `Err` is
-    /// reserved for executor-level failures (e.g. a shut-down pool) where
-    /// no sub-job outcome exists at all.
+    /// Each sub-job starts a fresh generation on the fabric, meters its own
+    /// communication, and sees exactly the context state it would see in a
+    /// batch of one (derived random streams are per-call, so a sub-job's
+    /// results do not depend on its batch).  The outer `Err` is reserved
+    /// for executor-level failures (e.g. a shut-down pool) where no sub-job
+    /// outcome exists at all.
+    fn try_run_batch<R, F>(&mut self, fs: Vec<F>) -> Result<Vec<BatchJobOutcome<R>>, CgmError>
+    where
+        R: Send + 'static,
+        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static;
+}
+
+impl<T: Send + 'static> CgmExecutor<T> for CgmMachine {
+    fn config(&self) -> CgmConfig {
+        self.config
+    }
+
     fn try_run_batch<R, F>(&mut self, fs: Vec<F>) -> Result<Vec<BatchJobOutcome<R>>, CgmError>
     where
         R: Send + 'static,
@@ -401,7 +424,7 @@ pub trait CgmExecutor<T: Send + 'static> {
                 outcomes.push(BatchJobOutcome::Skipped);
                 continue;
             }
-            match self.try_run_job(f) {
+            match self.try_run(f) {
                 Ok(out) => outcomes.push(BatchJobOutcome::Done(out)),
                 Err(e) => {
                     failed = true;
@@ -410,20 +433,6 @@ pub trait CgmExecutor<T: Send + 'static> {
             }
         }
         Ok(outcomes)
-    }
-}
-
-impl<T: Send + 'static> CgmExecutor<T> for CgmMachine {
-    fn config(&self) -> CgmConfig {
-        self.config
-    }
-
-    fn try_run_job<R, F>(&mut self, f: F) -> Result<RunOutcome<R>, CgmError>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
-    {
-        self.try_run(f)
     }
 }
 
@@ -692,6 +701,67 @@ mod tests {
         // The machine is per-call state only; the next run is unaffected.
         let out = machine.try_run(|ctx: &mut ProcCtx<u64>| ctx.id()).unwrap();
         assert_eq!(out.into_results(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn one_shot_batches_are_positional_self_metered_and_stop_at_a_failure() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Every one-shot job runs through this batch loop, so pin its
+        // contract: outcomes come back in submission order, each sub-job
+        // meters only its own traffic, a panic fails its sub-job naming the
+        // processor, and no later closure ever runs.
+        let invoked = Arc::new(AtomicUsize::new(0));
+        let job = |words: usize, bomb: bool| {
+            let invoked = Arc::clone(&invoked);
+            move |ctx: &mut ProcCtx<u64>| {
+                invoked.fetch_add(1, Ordering::SeqCst);
+                if bomb && ctx.id() == 1 {
+                    panic!("one-shot batch boom");
+                }
+                let next = (ctx.id() + 1) % ctx.procs();
+                let prev = (ctx.id() + ctx.procs() - 1) % ctx.procs();
+                ctx.comm_mut().send(next, 0, vec![0; words]);
+                ctx.comm_mut().recv(prev, 0).len() * 10 + ctx.id()
+            }
+        };
+        let mut machine = CgmMachine::new(CgmConfig::new(3).with_seed(4));
+        let outcomes = machine
+            .try_run_batch(vec![
+                job(2, false),
+                job(5, false),
+                job(1, true),
+                job(4, false),
+                job(3, false),
+            ])
+            .unwrap();
+        assert_eq!(outcomes.len(), 5);
+        for (k, words) in [(0, 2u64), (1, 5u64)] {
+            match &outcomes[k] {
+                BatchJobOutcome::Done(out) => {
+                    let expect: Vec<usize> = (0..3).map(|id| words as usize * 10 + id).collect();
+                    assert_eq!(out.results(), &expect[..], "sub-job {k} out of place");
+                    for m in &out.metrics().per_proc {
+                        assert_eq!(m.words_sent, words, "sub-job {k} metered foreign traffic");
+                        assert_eq!(m.words_received, words);
+                    }
+                }
+                other => panic!("sub-job {k} did not complete: {other:?}"),
+            }
+        }
+        match &outcomes[2] {
+            BatchJobOutcome::Failed(CgmError::ProcessorPanicked { proc, message }) => {
+                assert_eq!(*proc, 1, "the root cause is blamed");
+                assert!(message.contains("one-shot batch boom"));
+            }
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+        assert!(matches!(outcomes[3], BatchJobOutcome::Skipped));
+        assert!(matches!(outcomes[4], BatchJobOutcome::Skipped));
+        assert_eq!(
+            invoked.load(Ordering::SeqCst),
+            3 * 3,
+            "only the first three sub-jobs ran, once per processor"
+        );
     }
 
     #[test]

@@ -72,7 +72,11 @@ pub struct MachineMetrics {
     /// processor id.  Empty for runs that never touched the word plane and
     /// for views produced by [`MachineMetrics::matrix_phase`].
     pub matrix_plane: Vec<ProcMetrics>,
-    /// Wall-clock time of the whole run (spawn to join).
+    /// Wall-clock time of the job.  On a one-shot [`crate::CgmMachine`]
+    /// this is the whole run, spawn to join.  On a [`crate::ResidentCgm`]
+    /// it is the job's span: the maximum over workers of each worker's own
+    /// wall clock for the job, for a batch of one as for every sub-job of a
+    /// larger batch (wake-up and completion rendezvous are not included).
     pub elapsed: Duration,
 }
 

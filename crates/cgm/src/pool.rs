@@ -17,13 +17,17 @@
 //!   [`ProcCtx`] for the lifetime of the pool — so its private random
 //!   stream (`ctx.rng()`) advances across jobs instead of restarting —
 //!   and parks in a blocking receive on its private command channel.
-//! * [`ResidentCgm::run`] wakes all workers with one type-erased job
-//!   closure (an `Arc`, shared, no copy per worker).  Every worker runs the
-//!   job against its resident context, then reports `(result, per-job
-//!   metrics)` on a shared report channel and parks again.  The metrics
-//!   counters are taken-and-reset per job, so each [`RunOutcome`] meters
-//!   exactly one job, as with the one-shot machine.
-//! * The caller blocks until all `p` reports are in — so a job borrows
+//! * Every submission is a **batch**: [`ResidentCgm::try_run_batch`] wakes
+//!   all workers with one command carrying the type-erased job closures
+//!   (one `Arc`, shared, no copy per worker).  A solo job
+//!   ([`ResidentCgm::run`]/[`ResidentCgm::try_run`]) is a batch of one.
+//!   Every worker runs the sub-jobs back to back against its resident
+//!   context, deposits one `(result, per-job metrics, own wall clock)` per
+//!   sub-job, and parks again; the last worker to finish sends the single
+//!   completion signal.  The metrics counters are taken-and-reset per
+//!   sub-job, so each [`RunOutcome`] meters exactly one job, as with the
+//!   one-shot machine.
+//! * The caller blocks until every worker has reported — so a job borrows
 //!   nothing from the pool beyond the call, and `run` needs only `&mut
 //!   self`.
 //! * Jobs are **generation-fenced**: every envelope is stamped with its
@@ -34,7 +38,8 @@
 //!   the coordinator and carried on each command — never counted locally
 //!   on the workers — so the fences cannot drift apart even when an
 //!   aborted batch leaves the workers having attempted different numbers
-//!   of sub-jobs.
+//!   of sub-jobs.  Sub-jobs after the first wait at a machine-wide fence
+//!   before moving to their generation.
 //!
 //! # Panics do not poison the pool
 //!
@@ -71,7 +76,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 
@@ -82,45 +87,26 @@ use crate::machine::{
 };
 use crate::metrics::{MachineMetrics, ProcMetrics};
 use crate::sync::{AbortFlag, AbortPanic, BarrierWait, SuperstepBarrier};
-use std::time::Duration;
 
-/// A type-erased per-processor job: the pool wraps the caller's typed
-/// closure once and shares it with every worker through an `Arc`.
+/// A type-erased per-processor job: the pool wraps each of the caller's
+/// typed closures once and shares the batch with every worker through one
+/// `Arc`.
 type JobFn<T> = dyn Fn(&mut ProcCtx<T>) -> Box<dyn Any + Send> + Send + Sync;
 
-/// What one worker produced for one job: the type-erased result plus this
-/// job's per-plane metrics (data plane, word plane) on success, the panic
-/// payload on failure.
-type WorkerOutcome = Result<(Box<dyn Any + Send>, (ProcMetrics, ProcMetrics)), Box<dyn Any + Send>>;
+/// What one worker produced for one sub-job: the type-erased result, the
+/// sub-job's per-plane metrics (data plane, word plane) and the worker's
+/// own wall clock for it on success, the panic payload on failure.  The
+/// coordinator can only time the batch as a whole, so a sub-job's elapsed
+/// time is the maximum of these self-timings.
+type SubJobOutcome =
+    Result<(Box<dyn Any + Send>, (ProcMetrics, ProcMetrics), Duration), Box<dyn Any + Send>>;
 
-/// Per-job rendezvous between the workers and the coordinator.  Every
-/// worker deposits its outcome into its own slot; only the **last** one to
-/// finish signals `done` — so completing a job costs the coordinator a
-/// single wakeup instead of `p`, which on few-core hosts is a measurable
-/// share of the dispatch overhead the pool exists to amortize.
-struct JobState {
-    slots: Vec<Mutex<Option<WorkerOutcome>>>,
-    remaining: AtomicUsize,
-    done: Sender<()>,
-}
-
-/// What one worker produced for one **sub-job** of a batch: the outcome of
-/// a solo job plus the worker's own wall-clock for the sub-job (the
-/// coordinator can only time the batch as a whole, so per-sub-job elapsed
-/// is the maximum of these self-timings).
-type SubJobOutcome = Result<
-    (
-        Box<dyn Any + Send>,
-        (ProcMetrics, ProcMetrics),
-        std::time::Duration,
-    ),
-    Box<dyn Any + Send>,
->;
-
-/// Per-batch rendezvous, mirroring [`JobState`]: every worker deposits the
-/// prefix of sub-job outcomes it attempted (shorter than the batch when it
-/// stopped at a failure), and the last worker to finish sends the single
-/// completion signal.
+/// Per-batch rendezvous between the workers and the coordinator.  Every
+/// worker deposits the prefix of sub-job outcomes it attempted (shorter
+/// than the batch when it stopped at a failure) into its own slot; only the
+/// **last** one to finish signals `done` — so completing a batch costs the
+/// coordinator a single wakeup instead of `p`, which on few-core hosts is a
+/// measurable share of the dispatch overhead the pool exists to amortize.
 struct BatchState {
     slots: Vec<Mutex<Option<Vec<SubJobOutcome>>>>,
     remaining: AtomicUsize,
@@ -128,9 +114,6 @@ struct BatchState {
 }
 
 enum Command<T> {
-    /// Run this job on the resident context under the given generation
-    /// stamp, deposit the outcome, park.
-    Job(Arc<JobFn<T>>, Arc<JobState>, u64),
     /// Run these jobs back to back (one wake for the whole batch; sub-job
     /// `k` runs under generation `base + k`), deposit the attempted prefix
     /// of outcomes, park.
@@ -260,10 +243,7 @@ impl<T: Send + 'static> ResidentCgm<T> {
         R: Send + 'static,
         F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
     {
-        match self.try_run(f) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e}"),
-        }
+        CgmExecutor::run_job(self, f)
     }
 
     /// Fail-fast variant of [`ResidentCgm::run`]: a panicking job is
@@ -276,89 +256,27 @@ impl<T: Send + 'static> ResidentCgm<T> {
         R: Send + 'static,
         F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
     {
-        let p = self.config.procs;
-        let job: Arc<JobFn<T>> = Arc::new(move |ctx| Box::new(f(ctx)) as Box<dyn Any + Send>);
-        let state = Arc::new(JobState {
-            slots: (0..p).map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(p),
-            done: self.done_tx.clone(),
-        });
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        let started = Instant::now();
-        for tx in &self.commands {
-            tx.send(Command::Job(
-                Arc::clone(&job),
-                Arc::clone(&state),
-                generation,
-            ))
-            .map_err(|_| CgmError::PoolShutDown)?;
-        }
-        drop(job);
-
-        // One wakeup per job: the last worker to deposit its outcome sends
-        // the single completion signal.
-        self.done_rx.recv().map_err(|_| CgmError::PoolShutDown)?;
-        let elapsed = started.elapsed();
-
-        let mut results = Vec::with_capacity(p);
-        let mut per_proc = Vec::with_capacity(p);
-        let mut matrix_plane = Vec::with_capacity(p);
-        let mut panics: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
-        for (id, slot) in state.slots.iter().enumerate() {
-            let outcome = slot
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("every worker deposited exactly one outcome");
-            match outcome {
-                Ok((value, (data, words))) => {
-                    results.push(
-                        *value
-                            .downcast::<R>()
-                            .expect("a job closure returns the type it was submitted with"),
-                    );
-                    per_proc.push(data);
-                    matrix_plane.push(words);
-                }
-                Err(payload) => panics.push((id, payload)),
-            }
-        }
-
-        if !panics.is_empty() {
-            self.recover()?;
-            let (proc, message) = attribute_panics(&panics);
-            return Err(CgmError::ProcessorPanicked { proc, message });
-        }
-
-        Ok(RunOutcome::from_parts(
-            results,
-            MachineMetrics {
-                per_proc,
-                matrix_plane,
-                elapsed,
-            },
-        ))
+        CgmExecutor::try_run_job(self, f)
     }
 
-    /// Fused batch run: wakes every worker **once** for the whole batch of
-    /// jobs, runs them back to back on the resident contexts, and collects
-    /// one [`BatchJobOutcome`] per sub-job — the batched entry point behind
-    /// [`CgmExecutor::try_run_batch`].
+    /// The pool's one dispatch path: wakes every worker **once** for the
+    /// whole batch of jobs, runs them back to back on the resident
+    /// contexts, and collects one [`BatchJobOutcome`] per sub-job — the
+    /// entry point behind [`CgmExecutor::try_run_batch`].  A solo
+    /// [`ResidentCgm::try_run`] is a batch of one.
     ///
-    /// Contract (identical to looping [`ResidentCgm::try_run`], minus `n-1`
-    /// wakes and coordinator round-trips):
+    /// Contract:
     ///
     /// * each sub-job starts a fresh generation on both planes and meters
-    ///   its own communication, so results and metrics are exactly those of
-    ///   solo runs — workers fence on the machine barrier between sub-jobs,
-    ///   because a fast worker advancing its generation early would have
-    ///   its envelopes dropped by a peer still receiving in the previous
-    ///   sub-job;
+    ///   its own communication, so a sub-job's results and metrics do not
+    ///   depend on its batch — workers fence on the machine barrier between
+    ///   sub-jobs, because a fast worker advancing its generation early
+    ///   would have its envelopes dropped by a peer still receiving in the
+    ///   previous sub-job;
     /// * the batch stops at the first panicking sub-job: it is reported as
-    ///   [`BatchJobOutcome::Failed`] (the pool recovers before returning,
-    ///   as after a failed solo run) and every later sub-job as
-    ///   [`BatchJobOutcome::Skipped`] with its closure never invoked;
+    ///   [`BatchJobOutcome::Failed`] (the pool recovers before returning)
+    ///   and every later sub-job as [`BatchJobOutcome::Skipped`] with its
+    ///   closure never invoked;
     /// * per-sub-job [`MachineMetrics::elapsed`] is the maximum over
     ///   workers of each worker's own sub-job wall-clock (the coordinator
     ///   only observes the batch as a whole).
@@ -550,14 +468,6 @@ impl<T: Send + 'static> CgmExecutor<T> for ResidentCgm<T> {
         self.config
     }
 
-    fn try_run_job<R, F>(&mut self, f: F) -> Result<RunOutcome<R>, CgmError>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
-    {
-        self.try_run(f)
-    }
-
     fn try_run_batch<R, F>(&mut self, fs: Vec<F>) -> Result<Vec<BatchJobOutcome<R>>, CgmError>
     where
         R: Send + 'static,
@@ -578,44 +488,6 @@ fn worker_loop<T: Send>(
     let id = ctx.id();
     while let Ok(command) = commands.recv() {
         match command {
-            Command::Job(job, state, generation) => {
-                // New job generation on both planes: envelopes a previous
-                // job sent but never received must not be delivered into
-                // this one (the one-shot machine gets this for free by
-                // dropping its fabric; the resident fabric must fence
-                // explicitly).
-                ctx.begin_job(generation);
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&mut ctx)));
-                // Release our share of the job closure *before* signalling,
-                // so the caller can reclaim `Arc`ed state (try_unwrap) as
-                // soon as the job completes.
-                drop(job);
-                let outcome = match outcome {
-                    Ok(value) => Ok((value, ctx.take_metrics())),
-                    Err(payload) => {
-                        if !payload.is::<AbortPanic>() {
-                            // Root cause: wake peers parked at the barrier
-                            // or in a blocked receive.
-                            abort.trigger(id);
-                            barrier.poison(id);
-                        }
-                        // The dead job's counters are meaningless; reset
-                        // them so the next job meters cleanly.
-                        let _ = ctx.take_metrics();
-                        Err(payload)
-                    }
-                };
-                *state.slots[id].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-                // The last worker to finish sends the one completion signal
-                // (the slot mutexes synchronize the deposits with the
-                // coordinator's reads).
-                if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1
-                    && state.done.send(()).is_err()
-                {
-                    break; // pool dropped mid-job
-                }
-            }
             Command::Batch(jobs, state, base) => {
                 let mut outcomes: Vec<SubJobOutcome> = Vec::with_capacity(jobs.len());
                 for (k, job) in jobs.iter().enumerate() {
@@ -637,6 +509,10 @@ fn worker_loop<T: Send>(
                             break;
                         }
                     }
+                    // New job generation on both planes: envelopes a
+                    // previous job sent but never received must not be
+                    // delivered into this one (the one-shot machine gets
+                    // this for free by dropping its fabric).
                     ctx.begin_job(base + k as u64);
                     let sub_started = Instant::now();
                     let outcome =
@@ -647,9 +523,13 @@ fn worker_loop<T: Send>(
                         }
                         Err(payload) => {
                             if !payload.is::<AbortPanic>() {
+                                // Root cause: wake peers parked at the
+                                // barrier or in a blocked receive.
                                 abort.trigger(id);
                                 barrier.poison(id);
                             }
+                            // The dead job's counters are meaningless;
+                            // reset them so the next job meters cleanly.
                             let _ = ctx.take_metrics();
                             outcomes.push(Err(payload));
                             break;
@@ -661,6 +541,9 @@ fn worker_loop<T: Send>(
                 // sub-jobs that never ran) as soon as the batch completes.
                 drop(jobs);
                 *state.slots[id].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcomes);
+                // The last worker to finish sends the one completion signal
+                // (the slot mutexes synchronize the deposits with the
+                // coordinator's reads).
                 if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1
                     && state.done.send(()).is_err()
                 {

@@ -29,7 +29,7 @@
 //! In the paper Algorithm 1 is *one* CGM program: the same `p` processors
 //! sample the communication matrix (Algorithms 3–6), split their blocks,
 //! exchange, and shuffle.  This engine runs it the same way: a **single**
-//! [`CgmExecutor::run_job`] in which every worker
+//! job on one executor, in which every worker
 //!
 //! 1. participates in **in-context matrix sampling** on the machine's word
 //!    plane ([`cgp_cgm::MatrixCtx`]): the two front-end backends
@@ -45,6 +45,13 @@
 //!    shuffles the received pieces into its target block (superstep 3) —
 //!    the bucketed engine scatters each piece straight into its buckets,
 //!    with no concatenation copy.
+//!
+//! Every entry point — [`permute_blocks`], [`permute_vec_into_with`],
+//! [`try_permute_batch_into_with`] — stages its jobs the same way and
+//! submits them through the one dispatch path,
+//! [`CgmExecutor::try_run_batch`]: a solo permutation is a batch of one, a
+//! coalesced service batch is a batch of many, and a job's output does not
+//! depend on which.
 //!
 //! No second machine is ever built: on a [`cgp_cgm::ResidentCgm`]-backed
 //! [`crate::PermutationSession`] a steady-state permutation therefore makes
@@ -95,9 +102,10 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::cache_aware::{partition_into, shuffle_parts_into, BucketScratch, LocalShuffle};
-use crate::config::{EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
+use crate::config::{FaultPhase, MatrixBackend, PermuteOptions};
 use cgp_cgm::{
     BatchJobOutcome, BlockDistribution, CgmError, CgmExecutor, CgmMachine, MachineMetrics, ProcCtx,
+    RunOutcome,
 };
 use cgp_matrix::{
     sample_parallel_log_ctx, sample_parallel_optimal_ctx, sample_recursive_ctx,
@@ -112,8 +120,7 @@ use cgp_matrix::{
 /// measured **in-run**: each worker clocks its own phases and the report
 /// carries the maximum over workers, so the maxima may come from different
 /// workers.  [`PermutationReport::total_elapsed`] is therefore the
-/// *measured wall-clock of the whole run*, not the sum of the phase
-/// durations.
+/// *measured span of the whole job*, not the sum of the phase durations.
 #[derive(Debug)]
 pub struct PermutationReport {
     /// Which matrix-sampling backend was used.
@@ -148,14 +155,18 @@ pub struct PermutationReport {
     pub exchange_metrics: MachineMetrics,
     /// The sampled communication matrix, if `keep_matrix` was requested.
     pub matrix: Option<CommMatrix>,
-    /// Measured wall-clock of the whole fused run (see
+    /// Measured span of the whole fused job (see
     /// [`PermutationReport::total_elapsed`]).
     pub(crate) total_elapsed: Duration,
 }
 
 impl PermutationReport {
-    /// Measured wall-clock time of the whole permutation, caller to
-    /// caller: at least `max(matrix_elapsed, exchange_elapsed)`.  The
+    /// Measured span of the whole permutation job, at least
+    /// `max(matrix_elapsed, exchange_elapsed)`: the job's
+    /// [`MachineMetrics::elapsed`].  On a resident pool that is the maximum
+    /// over workers of each worker's own wall clock for the job — the same
+    /// rule for a solo job (a batch of one) as for a coalesced sub-job; on
+    /// the one-shot machine it is the run from thread spawn to join.  The
     /// per-phase figures are maxima over workers, so their sum may exceed
     /// it.
     pub fn total_elapsed(&self) -> Duration {
@@ -278,16 +289,6 @@ type ProcResult<T> = (
     Duration,
 );
 
-/// What the engine hands back: the permuted blocks, the emptied payload
-/// shells and bucket staging (capacities retained, ready to be the next
-/// call's scratch), and the run report.
-type EngineOutput<T> = (
-    Vec<Vec<T>>,
-    Vec<Vec<Vec<T>>>,
-    Vec<BucketScratch<T>>,
-    PermutationReport,
-);
-
 /// One permutation job, staged and ready to run on an executor: the
 /// per-processor payload slots plus the resolved run parameters.
 ///
@@ -300,26 +301,35 @@ struct JobPlan<T> {
     slots: Arc<Vec<Mutex<Option<ProcPayload<T>>>>>,
     source_sizes: Arc<Vec<u64>>,
     target_sizes: Arc<Vec<u64>>,
-    backend: MatrixBackend,
+    /// `options.local_shuffle`, resolved against the job's total payload.
     local_shuffle: LocalShuffle,
-    fault: Option<EngineFault>,
+    options: PermuteOptions,
+}
+
+/// What became of one staged plan.  The processors' buffers come back as a
+/// [`PermuteScratch`] whose `blocks` still hold the job's items: permuted
+/// for a job that ran, untouched for a job that was skipped.
+enum PlanOutcome<T> {
+    Done(PermuteScratch<T>, Box<PermutationReport>),
+    Failed(CgmError),
+    Skipped(PermuteScratch<T>),
 }
 
 /// Stages one job: validates and resolves the prescription, resolves the
 /// local-shuffle engine against the job's total payload, and hands each
-/// virtual processor ownership of its block (and recycled buffers) through
-/// a slot vector.
+/// virtual processor ownership of its block (`parts.blocks`, one per
+/// processor) and recycled buffers through a slot vector.
 ///
 /// All misuse is rejected here, before any job starts, so failures surface
 /// as a clean panic on the calling thread instead of a cross-thread panic
 /// out of a worker.
-fn plan_job<T: Send>(
-    p: usize,
-    blocks: Vec<Vec<T>>,
-    mut outgoing_scratch: Vec<Vec<Vec<T>>>,
-    mut bucket_scratch: Vec<BucketScratch<T>>,
-    options: &PermuteOptions,
-) -> JobPlan<T> {
+fn plan_job<T: Send>(p: usize, parts: PermuteScratch<T>, options: PermuteOptions) -> JobPlan<T> {
+    let PermuteScratch {
+        blocks,
+        mut outgoing,
+        mut buckets,
+    } = parts;
+    validate_block_count(p, blocks.len());
     let source_sizes: Vec<u64> = blocks.iter().map(|b| b.len() as u64).collect();
     let target_sizes = options.resolve_target_sizes(p, &source_sizes);
     // Auto resolves against the *job's* total payload, not each worker's
@@ -332,13 +342,13 @@ fn plan_job<T: Send>(
 
     // The closure is shared between threads, so interior mutability with an
     // exclusive take() per processor id is the simplest safe hand-off.
-    outgoing_scratch.resize_with(p, Vec::new);
-    bucket_scratch.resize_with(p, BucketScratch::new);
+    outgoing.resize_with(p, Vec::new);
+    buckets.resize_with(p, BucketScratch::new);
     let slots: Arc<Vec<Mutex<Option<ProcPayload<T>>>>> = Arc::new(
         blocks
             .into_iter()
-            .zip(outgoing_scratch)
-            .zip(bucket_scratch)
+            .zip(outgoing)
+            .zip(buckets)
             .map(|((block, outgoing), buckets)| Mutex::new(Some((block, outgoing, buckets))))
             .collect(),
     );
@@ -346,9 +356,8 @@ fn plan_job<T: Send>(
         slots,
         source_sizes: Arc::new(source_sizes),
         target_sizes: Arc::new(target_sizes),
-        backend: options.backend,
         local_shuffle,
-        fault: options.fault,
+        options,
     }
 }
 
@@ -359,17 +368,17 @@ fn plan_job<T: Send>(
 ///
 /// Every random stream the closure draws is derived from the machine's
 /// master seed *per call* (never from executor history), so the same plan
-/// produces the byte-identical permutation whether it runs solo, inside a
-/// coalesced batch, or on a different fleet machine with the same seed.
+/// produces the byte-identical permutation whatever batch it runs in, and
+/// on a different fleet machine with the same seed.
 fn worker_closure<T: Send + 'static>(
     plan: &JobPlan<T>,
 ) -> impl Fn(&mut ProcCtx<T>) -> ProcResult<T> + Send + Sync + 'static {
     let slots = Arc::clone(&plan.slots);
     let source_ref = Arc::clone(&plan.source_sizes);
     let target_ref = Arc::clone(&plan.target_sizes);
-    let backend = plan.backend;
+    let backend = plan.options.backend;
     let local_shuffle = plan.local_shuffle;
-    let fault = plan.fault;
+    let fault = plan.options.fault;
 
     move |ctx| -> ProcResult<T> {
         let id = ctx.id();
@@ -466,29 +475,25 @@ fn worker_closure<T: Send + 'static>(
     }
 }
 
-/// Assembles one job's per-processor results into the engine output:
-/// max-over-workers phase timings, the recovered scratch parts, the
-/// (optionally kept) communication matrix, and the run report.
-fn collect_job<T>(
-    source_sizes: &[u64],
-    target_sizes: &[u64],
-    results: Vec<ProcResult<T>>,
-    metrics: MachineMetrics,
-    options: &PermuteOptions,
-    total_elapsed: Duration,
-) -> EngineOutput<T> {
-    let p = source_sizes.len();
-    let mut new_blocks = Vec::with_capacity(p);
-    let mut shells = Vec::with_capacity(p);
-    let mut stagings = Vec::with_capacity(p);
+/// Assembles one finished job into its plan outcome: max-over-workers phase
+/// timings, the recovered scratch parts, the (optionally kept)
+/// communication matrix, and the run report.
+fn collect_job<T>(plan: JobPlan<T>, run: RunOutcome<ProcResult<T>>) -> PlanOutcome<T> {
+    let (results, metrics) = run.into_parts();
+    let p = plan.source_sizes.len();
+    let mut parts = PermuteScratch {
+        blocks: Vec::with_capacity(p),
+        outgoing: Vec::with_capacity(p),
+        buckets: Vec::with_capacity(p),
+    };
     let mut rows = Vec::with_capacity(p);
     let mut matrix_elapsed = Duration::ZERO;
     let mut exchange_elapsed = Duration::ZERO;
     let mut shuffle_elapsed = Duration::ZERO;
     for (block, shell, staging, row, matrix_dur, data_dur, shuffle_dur) in results {
-        new_blocks.push(block);
-        shells.push(shell);
-        stagings.push(staging);
+        parts.blocks.push(block);
+        parts.outgoing.push(shell);
+        parts.buckets.push(staging);
         rows.push(row);
         matrix_elapsed = matrix_elapsed.max(matrix_dur);
         exchange_elapsed = exchange_elapsed.max(data_dur);
@@ -498,22 +503,23 @@ fn collect_job<T>(
     // Sanity: the produced blocks have exactly the prescribed target sizes
     // (all of them — resolve_target_sizes guarantees one per processor).
     debug_assert_eq!(
-        new_blocks
+        parts
+            .blocks
             .iter()
             .map(|b| b.len() as u64)
             .collect::<Vec<_>>(),
-        target_sizes
+        *plan.target_sizes
     );
     // The rows every worker brought back assemble into the sampled matrix;
     // in debug builds verify its marginals unconditionally, in release only
     // pay the assembly when the caller asked to keep it.
-    let assemble = |rows: Vec<Vec<u64>>| {
-        let matrix = CommMatrix::from_rows(rows);
-        debug_assert!(matrix.check_marginals(source_sizes, target_sizes).is_ok());
-        matrix
-    };
+    let options = &plan.options;
     let matrix = if options.keep_matrix || cfg!(debug_assertions) {
-        Some(assemble(rows))
+        let matrix = CommMatrix::from_rows(rows);
+        debug_assert!(matrix
+            .check_marginals(&plan.source_sizes, &plan.target_sizes)
+            .is_ok());
+        Some(matrix)
     } else {
         None
     };
@@ -534,54 +540,65 @@ fn collect_job<T>(
             matrix_plane: Vec::new(),
             elapsed: exchange_elapsed,
         },
-        matrix: if options.keep_matrix { matrix } else { None },
-        total_elapsed,
+        matrix: matrix.filter(|_| options.keep_matrix),
+        total_elapsed: metrics.elapsed,
     };
-    (new_blocks, shells, stagings, report)
+    PlanOutcome::Done(parts, Box::new(report))
 }
 
-/// The fused, move-based engine behind [`permute_blocks`] and
-/// [`permute_vec_into`]: stages a [`JobPlan`], runs its [`worker_closure`]
-/// as **one job on one executor**, and assembles the output with
-/// [`collect_job`].  The batched entry ([`try_permute_batch_into_with`])
-/// shares all three pieces, which is what makes a coalesced run
-/// byte-identical to a solo run by construction.
+/// Dismantles a plan whose closure never ran: every slot still holds its
+/// payload, and the plan holds the last `Arc` (executors drop their job
+/// closures before returning).
+fn unstage<T>(plan: JobPlan<T>) -> PlanOutcome<T> {
+    let slots = Arc::try_unwrap(plan.slots)
+        .unwrap_or_else(|_| unreachable!("skipped sub-job slots still shared"));
+    let mut parts = PermuteScratch::new();
+    for slot in slots {
+        let (block, outgoing, buckets) = slot
+            .into_inner()
+            .expect("skipped sub-job left every slot untouched");
+        parts.blocks.push(block);
+        parts.outgoing.push(outgoing);
+        parts.buckets.push(buckets);
+    }
+    PlanOutcome::Skipped(parts)
+}
+
+/// The engine's one dispatch path: runs the staged plans as **one**
+/// [`CgmExecutor::try_run_batch`] — a solo job is a batch of one — and
+/// collects every sub-job's outcome, positionally.
 ///
 /// Generic over the execution substrate: the same engine runs one-shot on a
-/// [`CgmMachine`] (threads spawned per call) or on a [`cgp_cgm::ResidentCgm`]
-/// worker pool (threads spawned once, per the session API) — shared state
-/// travels in `Arc`s so the job closure is `'static` either way.  No second
-/// machine is built for the matrix phase; the samplers run in-context on the
-/// word plane of the same workers (see the module docs).
-///
-/// Consumes the blocks and a set of recycled outgoing buffers (padded with
-/// empty vectors when the scratch is shorter than `p`).
-fn exchange_engine<T, E>(
-    exec: &mut E,
-    blocks: Vec<Vec<T>>,
-    outgoing_scratch: Vec<Vec<Vec<T>>>,
-    bucket_scratch: Vec<BucketScratch<T>>,
-    options: &PermuteOptions,
-) -> Result<EngineOutput<T>, CgmError>
+/// [`CgmMachine`] (threads spawned per job) or on a [`cgp_cgm::ResidentCgm`]
+/// worker pool (threads spawned once, woken once per batch) — shared state
+/// travels in `Arc`s so the job closures are `'static` either way.  No
+/// second machine is built for the matrix phase; the samplers run
+/// in-context on the word plane of the same workers (see the module docs).
+fn run_plans<T, E>(exec: &mut E, plans: Vec<JobPlan<T>>) -> Result<Vec<PlanOutcome<T>>, CgmError>
 where
     T: Send + 'static,
     E: CgmExecutor<T>,
 {
-    let p = exec.procs();
-    validate_block_count(p, blocks.len());
-    let plan = plan_job(p, blocks, outgoing_scratch, bucket_scratch, options);
-    let run_started = Instant::now();
-    let outcome = exec.try_run_job(worker_closure(&plan));
-    let (results, metrics) = outcome?.into_parts();
-    let total_elapsed = run_started.elapsed();
-    Ok(collect_job(
-        &plan.source_sizes,
-        &plan.target_sizes,
-        results,
-        metrics,
-        options,
-        total_elapsed,
-    ))
+    let outcomes = exec.try_run_batch(plans.iter().map(worker_closure).collect())?;
+    debug_assert_eq!(outcomes.len(), plans.len());
+    Ok(outcomes
+        .into_iter()
+        .zip(plans)
+        .map(|(outcome, plan)| match outcome {
+            BatchJobOutcome::Done(run) => collect_job(plan, run),
+            BatchJobOutcome::Failed(e) => PlanOutcome::Failed(e),
+            BatchJobOutcome::Skipped => unstage(plan),
+        })
+        .collect())
+}
+
+/// The target distribution of a vector job split evenly as `source`: the
+/// prescribed target sizes, or the source split itself.
+fn target_distribution(options: &PermuteOptions, source: &BlockDistribution) -> BlockDistribution {
+    match &options.target_sizes {
+        Some(sizes) => BlockDistribution::from_sizes(sizes.clone()),
+        None => source.clone(),
+    }
 }
 
 /// Permutes a block-distributed vector.
@@ -607,11 +624,16 @@ pub fn permute_blocks<T: Send + 'static>(
     blocks: Vec<Vec<T>>,
     options: &PermuteOptions,
 ) -> (Vec<Vec<T>>, PermutationReport) {
-    let mut exec = machine.clone();
-    let (new_blocks, _shells, _stagings, report) =
-        exchange_engine(&mut exec, blocks, Vec::new(), Vec::new(), options)
-            .unwrap_or_else(|e| panic!("{e}"));
-    (new_blocks, report)
+    let parts = PermuteScratch {
+        blocks,
+        ..PermuteScratch::new()
+    };
+    let plan = plan_job(machine.procs(), parts, options.clone());
+    match run_plans(&mut machine.clone(), vec![plan]).map(|mut out| out.pop()) {
+        Ok(Some(PlanOutcome::Done(parts, report))) => (parts.blocks, *report),
+        Ok(Some(PlanOutcome::Failed(e))) | Err(e) => panic!("{e}"),
+        Ok(_) => unreachable!("a batch of one runs its only job"),
+    }
 }
 
 /// Convenience wrapper: splits `data` evenly over the machine's processors,
@@ -621,19 +643,9 @@ pub fn permute_vec<T: Send + 'static>(
     data: Vec<T>,
     options: &PermuteOptions,
 ) -> (Vec<T>, PermutationReport) {
-    let p = machine.procs();
-    let dist = BlockDistribution::even(data.len() as u64, p);
-    let blocks = dist.split_vec(data);
-    let mut options = options.clone();
-    // The output distribution is exactly what the options prescribe (or the
-    // even split when nothing was prescribed) — no need to recompute it from
-    // the returned block lengths.
-    let out_dist = match options.target_sizes.take() {
-        Some(sizes) => BlockDistribution::from_sizes(sizes),
-        None => dist,
-    };
-    options.target_sizes = Some(out_dist.sizes().to_vec());
-    let (blocks, report) = permute_blocks(machine, blocks, &options);
+    let dist = BlockDistribution::even(data.len() as u64, machine.procs());
+    let out_dist = target_distribution(options, &dist);
+    let (blocks, report) = permute_blocks(machine, dist.split_vec(data), options);
     (out_dist.concat_vec(blocks), report)
 }
 
@@ -656,12 +668,11 @@ pub fn permute_vec_into<T: Send + 'static>(
     options: &PermuteOptions,
     scratch: &mut PermuteScratch<T>,
 ) -> PermutationReport {
-    let mut exec = machine.clone();
-    permute_vec_into_with(&mut exec, data, options, scratch)
+    permute_vec_into_with(&mut machine.clone(), data, options, scratch)
 }
 
-/// Executor-generic core of [`permute_vec_into`]: permutes `data` in place
-/// on any [`CgmExecutor`] — the one-shot [`CgmMachine`] or a resident
+/// Executor-generic variant of [`permute_vec_into`]: permutes `data` in
+/// place on any [`CgmExecutor`] — the one-shot [`CgmMachine`] or a resident
 /// [`cgp_cgm::ResidentCgm`] pool.
 ///
 /// For a fixed configuration (processor count, seed, options) every
@@ -683,12 +694,11 @@ where
 /// Fail-fast variant of [`permute_vec_into_with`]: a job that panics inside
 /// a virtual processor is reported as [`CgmError::ProcessorPanicked`]
 /// (naming the processor, exactly as the panic of the infallible variant
-/// would) instead of unwinding the caller.
+/// would) instead of unwinding the caller.  It runs as a batch of one
+/// through [`try_permute_batch_into_with`]'s path.
 ///
 /// On a [`cgp_cgm::ResidentCgm`] the pool recovers its fabric before this
-/// returns, so the executor stays usable for further jobs — this is the
-/// engine entry a multi-tenant [`crate::PermutationService`] dispatches
-/// through, where one tenant's failure must be contained to its own ticket.
+/// returns, so the executor stays usable for further jobs.
 ///
 /// # Data loss on failure
 /// By the time a worker panics the input has already been distributed into
@@ -707,32 +717,22 @@ where
     T: Send + 'static,
     E: CgmExecutor<T>,
 {
-    let p = exec.procs();
-    let dist = BlockDistribution::even(data.len() as u64, p);
-    // Validate the prescription BEFORE draining the caller's vector: a bad
-    // prescription must panic with `data` and `scratch` untouched, not after
-    // the items have been moved out (and lost to the unwind).
-    options.validate_target_sizes(p, data.len() as u64);
-    let mut options = options.clone();
-    let out_dist = match options.target_sizes.take() {
-        Some(sizes) => BlockDistribution::from_sizes(sizes),
-        None => dist.clone(),
-    };
-    options.target_sizes = Some(out_dist.sizes().to_vec());
-    let mut blocks = std::mem::take(&mut scratch.blocks);
-    dist.split_vec_into(data, &mut blocks);
-    let outgoing = std::mem::take(&mut scratch.outgoing);
-    let buckets = std::mem::take(&mut scratch.buckets);
-    let (mut new_blocks, shells, stagings, report) =
-        exchange_engine(exec, blocks, outgoing, buckets, &options)?;
-    out_dist.concat_vec_into(&mut new_blocks, data);
-    scratch.blocks = new_blocks;
-    scratch.outgoing = shells;
-    scratch.buckets = stagings;
-    Ok(report)
+    // Validate BEFORE taking the caller's vector: a bad prescription must
+    // panic with `data` untouched, not after the items have been moved out
+    // (and lost to the unwind).
+    options.validate_target_sizes(exec.procs(), data.len() as u64);
+    let job = (std::mem::take(data), options.clone());
+    match permute_vecs(exec, vec![job], std::slice::from_mut(scratch))?.pop() {
+        Some(BatchOutcome::Done { data: out, report }) => {
+            *data = out;
+            Ok(*report)
+        }
+        Some(BatchOutcome::Failed(e)) => Err(e),
+        _ => unreachable!("a batch of one runs its only job"),
+    }
 }
 
-/// What happened to one job of a coalesced batch submitted through
+/// What happened to one job of a batch submitted through
 /// [`try_permute_batch_into_with`].
 #[derive(Debug)]
 pub enum BatchOutcome<T> {
@@ -744,9 +744,9 @@ pub enum BatchOutcome<T> {
         /// Boxed to keep the outcome enum slim next to `Skipped`.
         report: Box<PermutationReport>,
     },
-    /// A worker panicked inside this job.  As with a failed solo run the
-    /// items had already been distributed into the machine, so they are
-    /// lost; the executor has recovered and stays usable.
+    /// A worker panicked inside this job.  The items had already been
+    /// distributed into the machine, so they are lost; the executor has
+    /// recovered and stays usable.
     Failed(CgmError),
     /// The job never started because an earlier job in the batch failed.
     /// Its items were still untouched in their staging slots, so they are
@@ -757,22 +757,23 @@ pub enum BatchOutcome<T> {
     },
 }
 
-/// Permutes a batch of jobs as **one** submission to the executor —
-/// the coalescing entry point behind the service scheduler.
+/// Permutes a batch of jobs as **one** submission to the executor — the
+/// path every vector permutation takes (a solo
+/// [`try_permute_vec_into_with`] call is a batch of one) and the
+/// coalescing entry point behind the service scheduler.
 ///
 /// On a [`cgp_cgm::ResidentCgm`] pool the whole batch costs a single
 /// worker wake-up and one completion rendezvous instead of one per job,
 /// which is what amortizes the fixed per-job overhead for small payloads.
-/// Each job still runs as its own fenced sub-job with its own
-/// [`PermuteOptions`] and its own seed-derived random streams, so **every
-/// job's output is byte-identical to what a solo
-/// [`try_permute_vec_into_with`] call would have produced** on the same
-/// executor — coalescing is invisible in the results (a property the
-/// scheduler's seed-equivalence tests pin down).
+/// Each job runs as its own fenced sub-job with its own
+/// [`PermuteOptions`] and its own seed-derived random streams, so **a
+/// job's output does not depend on the batch it runs in** — coalescing is
+/// invisible in the results (a property the scheduler's seed-equivalence
+/// tests pin down).
 ///
-/// `scratches` plays the role of the solo entry's scratch, one per job
-/// (extended with cold scratches when shorter than `jobs`): warm capacity
-/// goes in, the recovered buffers come back out.
+/// `scratches` holds one scratch per job (extended with cold scratches
+/// when shorter than `jobs`): warm capacity goes in, the recovered buffers
+/// come back out.
 ///
 /// The outcomes are positional: `out[k]` describes `jobs[k]`.  A batch
 /// stops at the first failing job — later jobs come back as
@@ -781,9 +782,8 @@ pub enum BatchOutcome<T> {
 ///
 /// # Errors and data loss
 /// Misuse (a bad prescription on *any* job) panics on the calling thread
-/// before any item has moved, with every job's data untouched.  An
-/// executor-level error (`Err`) means the batch could not run or complete
-/// as a whole; as with a failed solo run, the items of jobs that were
+/// before any item has moved.  An executor-level error (`Err`) means the
+/// batch could not run or complete as a whole; the items of jobs that were
 /// already staged into the machine are lost.
 pub fn try_permute_batch_into_with<T, E>(
     exec: &mut E,
@@ -794,103 +794,71 @@ where
     T: Send + 'static,
     E: CgmExecutor<T>,
 {
-    let p = exec.procs();
-    // Validate every job before moving a single item: a bad prescription
-    // anywhere in the batch must panic with all data untouched.
-    for (data, options) in &jobs {
-        options.validate_target_sizes(p, data.len() as u64);
-    }
     if scratches.len() < jobs.len() {
         scratches.resize_with(jobs.len(), PermuteScratch::new);
     }
+    permute_vecs(exec, jobs, scratches)
+}
 
-    // Stage every job into its own plan (moving its items into the slot
-    // vector) and build the per-job closures the executor will run as
-    // fenced sub-jobs.
-    let mut staged = Vec::with_capacity(jobs.len());
-    let mut closures = Vec::with_capacity(jobs.len());
-    for (k, (mut data, options)) in jobs.into_iter().enumerate() {
-        let scratch = &mut scratches[k];
+/// The vector staging around [`run_plans`], shared by every vector entry:
+/// splits each job evenly over the processors into its scratch's block
+/// buffers, runs all plans as one batch, and concatenates each outcome
+/// back into the job's own vector (`scratches[k]` serves `jobs[k]`).
+fn permute_vecs<T, E>(
+    exec: &mut E,
+    jobs: Vec<(Vec<T>, PermuteOptions)>,
+    scratches: &mut [PermuteScratch<T>],
+) -> Result<Vec<BatchOutcome<T>>, CgmError>
+where
+    T: Send + 'static,
+    E: CgmExecutor<T>,
+{
+    debug_assert!(scratches.len() >= jobs.len(), "one scratch per job");
+    let p = exec.procs();
+    // Validate every job before moving a single item: a bad prescription
+    // anywhere in the batch must panic before any job is staged.
+    for (data, options) in &jobs {
+        options.validate_target_sizes(p, data.len() as u64);
+    }
+
+    // Stage every job into its own plan, moving its items into the slot
+    // vector.  `data` stays behind as the emptied shell of the submitted
+    // vector; its allocation is reused for the reassembled output (or the
+    // restore).
+    let mut plans = Vec::with_capacity(jobs.len());
+    let mut shells = Vec::with_capacity(jobs.len());
+    for ((mut data, options), scratch) in jobs.into_iter().zip(scratches.iter_mut()) {
         let dist = BlockDistribution::even(data.len() as u64, p);
-        let mut options = options;
-        let out_dist = match options.target_sizes.take() {
-            Some(sizes) => BlockDistribution::from_sizes(sizes),
-            None => dist.clone(),
-        };
-        options.target_sizes = Some(out_dist.sizes().to_vec());
-        let mut blocks = std::mem::take(&mut scratch.blocks);
-        dist.split_vec_into(&mut data, &mut blocks);
-        let outgoing = std::mem::take(&mut scratch.outgoing);
-        let buckets = std::mem::take(&mut scratch.buckets);
-        let plan = plan_job(p, blocks, outgoing, buckets, &options);
-        closures.push(worker_closure(&plan));
-        // `data` is now the emptied shell of the submitted vector; its
-        // allocation is reused for the reassembled output (or the restore).
-        staged.push((plan, dist, out_dist, options, data));
+        let out_dist = target_distribution(&options, &dist);
+        let mut parts = std::mem::take(scratch);
+        dist.split_vec_into(&mut data, &mut parts.blocks);
+        plans.push(plan_job(p, parts, options));
+        shells.push((data, dist, out_dist));
     }
 
-    let run_started = Instant::now();
-    let outcomes = exec.try_run_batch(closures)?;
-    let total_elapsed = run_started.elapsed();
-    debug_assert_eq!(outcomes.len(), staged.len());
-
-    let mut out = Vec::with_capacity(staged.len());
-    for (k, (outcome, parts)) in outcomes.into_iter().zip(staged).enumerate() {
-        let (plan, dist, out_dist, options, mut data) = parts;
-        let scratch = &mut scratches[k];
-        match outcome {
-            BatchJobOutcome::Done(run) => {
-                // Each sub-job's report carries its own metered span (the
-                // max over its workers' in-run timings), not the whole
-                // batch's wall clock.
-                let sub_elapsed = run.metrics().elapsed.min(total_elapsed);
-                let (results, metrics) = run.into_parts();
-                let (mut new_blocks, shells, stagings, report) = collect_job(
-                    &plan.source_sizes,
-                    &plan.target_sizes,
-                    results,
-                    metrics,
-                    &options,
-                    sub_elapsed,
-                );
-                out_dist.concat_vec_into(&mut new_blocks, &mut data);
-                scratch.blocks = new_blocks;
-                scratch.outgoing = shells;
-                scratch.buckets = stagings;
-                out.push(BatchOutcome::Done {
-                    data,
-                    report: Box::new(report),
-                });
-            }
-            BatchJobOutcome::Failed(e) => out.push(BatchOutcome::Failed(e)),
-            BatchJobOutcome::Skipped => {
-                // The closure never ran, so every slot still holds its
-                // payload and ours is the last Arc (workers drop their
-                // clones of the job list before depositing results).
-                let slots = Arc::try_unwrap(plan.slots)
-                    .unwrap_or_else(|_| unreachable!("skipped sub-job slots still shared"));
-                let mut blocks = Vec::with_capacity(p);
-                let mut shells = Vec::with_capacity(p);
-                let mut stagings = Vec::with_capacity(p);
-                for slot in slots {
-                    let (block, outgoing, buckets) = slot
-                        .into_inner()
-                        .expect("skipped sub-job left every slot untouched");
-                    blocks.push(block);
-                    shells.push(outgoing);
-                    stagings.push(buckets);
+    let outcomes = run_plans(exec, plans)?;
+    Ok(outcomes
+        .into_iter()
+        .zip(shells)
+        .zip(scratches.iter_mut())
+        .map(
+            |((outcome, (mut data, dist, out_dist)), scratch)| match outcome {
+                PlanOutcome::Done(mut parts, report) => {
+                    out_dist.concat_vec_into(&mut parts.blocks, &mut data);
+                    *scratch = parts;
+                    BatchOutcome::Done { data, report }
                 }
-                // Undo the split with the *source* distribution: the items
-                // come back in exactly the submitted order.
-                dist.concat_vec_into(&mut blocks, &mut data);
-                scratch.blocks = blocks;
-                scratch.outgoing = shells;
-                scratch.buckets = stagings;
-                out.push(BatchOutcome::Skipped { data });
-            }
-        }
-    }
-    Ok(out)
+                PlanOutcome::Failed(e) => BatchOutcome::Failed(e),
+                PlanOutcome::Skipped(mut parts) => {
+                    // Undo the split with the *source* distribution: the items
+                    // come back in exactly the submitted order.
+                    dist.concat_vec_into(&mut parts.blocks, &mut data);
+                    *scratch = parts;
+                    BatchOutcome::Skipped { data }
+                }
+            },
+        )
+        .collect())
 }
 
 #[cfg(test)]

@@ -27,7 +27,9 @@ pub struct TenantMetrics {
     /// Total time this tenant's jobs spent waiting between admission and
     /// the start of their (possibly coalesced) run.
     pub queue_wait: Duration,
-    /// Total time this tenant's jobs spent running on a machine.
+    /// Total time this tenant's jobs spent running on a machine: for a
+    /// completed job its [`crate::PermutationReport::total_elapsed`] span,
+    /// whether it ran alone or coalesced.
     pub run_time: Duration,
 }
 
@@ -94,7 +96,8 @@ pub struct ServiceMetrics {
     pub deadline_shed: u64,
     /// Total queue wait across all jobs.
     pub queue_wait: Duration,
-    /// Total machine run time across all jobs.
+    /// Total machine run time across all jobs (per job, as
+    /// [`TenantMetrics::run_time`]).
     pub run_time: Duration,
     /// Wall-clock since the service started (to the snapshot).
     pub uptime: Duration,

@@ -30,7 +30,8 @@
 //!   batch into one fenced submission to the resident pool, amortizing the
 //!   per-job worker wake/rendezvous that dominates tiny payloads — with
 //!   each job keeping its own derived random streams, so a coalesced job's
-//!   output is byte-identical to a solo run.
+//!   output is byte-identical to the same job run alone (a batch of one,
+//!   on the same dispatch path).
 //!
 //! Clients hold cheap, cloneable [`ServiceHandle`]s and either
 //! [`ServiceHandle::submit`] (async, returns a [`JobTicket`] backed by the
@@ -330,6 +331,13 @@ pub(crate) type JobOutcome<T> = Result<(Vec<T>, PermutationReport), ServiceError
 
 /// A multi-tenant permutation scheduler over a fleet of resident machines.
 /// See the [module docs](self) for the full picture.
+///
+/// Every machine shares the fleet seed, and every job draws from it afresh:
+/// jobs of the same shape return the **byte-identical** permutation,
+/// whichever tenant submits them — they are not independent samples.  For
+/// independent samples today, stand up one service per seed
+/// ([`ServiceConfig::from_engine`] with a different
+/// [`crate::EngineConfig::seed`]).
 pub struct PermutationService<T: Send + 'static> {
     shared: Arc<SchedShared<T>>,
     dispatchers: Vec<Option<JoinHandle<()>>>,
@@ -623,6 +631,10 @@ impl<T: Send + 'static> ServiceHandle<T> {
     /// lane, **blocking while the admission buffer (or this tenant's
     /// quota) is full**.  Fails only once the service is shut down (the
     /// payload comes back in the [`RejectedJob`]).
+    ///
+    /// The result is pinned by the fleet seed: two submissions of the same
+    /// shape come back with the same permutation, not two independent
+    /// samples (see [`PermutationService`]).
     pub fn submit(&self, data: Vec<T>) -> Result<JobTicket<T>, RejectedJob<T>> {
         self.submit_with(data, self.shared.default_options.clone(), Priority::Normal)
     }

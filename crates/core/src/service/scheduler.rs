@@ -6,10 +6,13 @@
 //!
 //! 1. **Drain the own deque.**  `MachineQueue::take_batch` pops the front
 //!    job plus every consecutive compatible follower under the byte budget
-//!    ([`crate::ServiceConfig::coalesce_budget`]); a multi-job batch runs as
-//!    one fenced submission to the resident pool
-//!    ([`crate::parallel::try_permute_batch_into_with`]), amortizing the
-//!    per-job wake/rendezvous cost that dominates tiny payloads.
+//!    ([`crate::ServiceConfig::coalesce_budget`]).  Every batch — a lone
+//!    job is a batch of one — runs as one fenced submission to the
+//!    resident pool ([`crate::parallel::try_permute_batch_into_with`]), so
+//!    a coalesced batch pays the per-job wake/rendezvous cost that
+//!    dominates tiny payloads once.  A deadline job is never coalesced; if
+//!    its budget expired while it sat in the deque, it is shed here
+//!    instead of run.
 //! 2. **Refill** from the fair-share admission buffer when the deque is
 //!    empty (High lanes first, then weighted deficit-round-robin — see the
 //!    queue module).
@@ -63,9 +66,7 @@ use super::metrics::MetricsInner;
 use super::queue::{Admission, Job, MachineQueue};
 use super::{panic_text, ServiceError};
 use crate::config::PermuteOptions;
-use crate::parallel::{
-    try_permute_batch_into_with, try_permute_vec_into_with, BatchOutcome, PermuteScratch,
-};
+use crate::parallel::{try_permute_batch_into_with, BatchOutcome, PermuteScratch};
 use cgp_cgm::ResidentCgm;
 
 /// Most jobs one refill moves from admission to a machine's deque.  Far
@@ -132,16 +133,7 @@ pub(crate) fn dispatcher_loop<T: Send + 'static>(
                 // completing a ticket may run a user `on_complete`
                 // callback, which must never execute under scheduler
                 // locks.
-                if !shed.is_empty() {
-                    let mut m = lock_metrics(&shared);
-                    for job in &shed {
-                        m.record_shed(job.tenant);
-                    }
-                    drop(m);
-                    for job in shed {
-                        job.reply.complete(Err(ServiceError::DeadlineExceeded));
-                    }
-                }
+                shed_jobs(&shared, shed);
                 if refill.is_empty() {
                     st = shared.admission.lock();
                     continue;
@@ -187,10 +179,29 @@ pub(crate) fn dispatcher_loop<T: Send + 'static>(
     pool.shutdown();
 }
 
-/// Runs one batch (possibly a single job) on this machine's pool and
-/// resolves the tickets.  Skipped jobs — staged behind a mid-batch failure
-/// — go back to the **front** of the deque with their payloads and
-/// admission timestamps intact.
+/// Meters and fails deadline jobs whose budget expired before they ran.
+/// Called outside every scheduler lock: completing a ticket may run a user
+/// `on_complete` callback.
+// Jobs stay boxed across every queue hop — see the `queue` module docs.
+#[allow(clippy::vec_box)]
+fn shed_jobs<T>(shared: &SchedShared<T>, shed: Vec<Box<Job<T>>>) {
+    if shed.is_empty() {
+        return;
+    }
+    let mut m = lock_metrics(shared);
+    for job in &shed {
+        m.record_shed(job.tenant);
+    }
+    drop(m);
+    for job in shed {
+        job.reply.complete(Err(ServiceError::DeadlineExceeded));
+    }
+}
+
+/// Runs one batch (possibly a single job) on this machine's pool as one
+/// fenced submission and resolves the tickets.  Skipped jobs — staged
+/// behind a mid-batch failure — go back to the **front** of the deque with
+/// their payloads and admission timestamps intact.
 // Jobs stay boxed across every queue hop — see the `queue` module docs.
 #[allow(clippy::vec_box)]
 fn run_batch<T: Send + 'static>(
@@ -201,143 +212,92 @@ fn run_batch<T: Send + 'static>(
     batch: Vec<Box<Job<T>>>,
 ) {
     let batch_started = Instant::now();
-
-    if batch.len() == 1 {
-        let mut job = batch.into_iter().next().expect("batch of one");
-        // Run-time shed: the deadline may have expired between refill (which
-        // checked it) and this machine reaching the job in its deque.
-        if let Some(deadline) = job.deadline {
-            if Instant::now() > deadline {
-                lock_metrics(shared).record_shed(job.tenant);
-                job.reply.complete(Err(ServiceError::DeadlineExceeded));
-                return;
-            }
-        }
-        let wait = job.enqueued_at.elapsed();
-        // In-worker panics come back as clean Err values (the pool recovers
-        // itself); the catch_unwind is defense in depth against *dispatcher
-        // thread* panics — admission-time validation makes the known ones
-        // unreachable, but no conceivable engine panic may take a machine
-        // out of rotation and strand its deque.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            try_permute_vec_into_with(pool, &mut job.data, &job.options, &mut scratches[0])
-        }));
-        let run = batch_started.elapsed();
-        let ok = matches!(result, Ok(Ok(_)));
-        {
-            let mut m = lock_metrics(shared);
-            m.record_job(job.tenant, wait, run, ok);
-            m.record_machine(machine_idx, run, 1, pool.recoveries());
-        }
-        let outcome = match result {
-            Ok(Ok(report)) => Ok((std::mem::take(&mut job.data), report)),
-            Ok(Err(e)) => Err(ServiceError::JobFailed(e)),
-            Err(payload) => Err(ServiceError::InvalidJob(format!(
-                "the job was rejected by the engine: {}",
-                panic_text(payload.as_ref())
-            ))),
-        };
-        // A dropped ticket just abandons its result; keep serving.
-        job.reply.complete(outcome);
+    // Run-time shed: a deadline may have expired between refill (which
+    // checked it) and this machine reaching the job in its deque.
+    // `take_batch` never coalesces deadline jobs, so this sheds a whole
+    // batch of one or nothing.
+    let (shed, mut jobs): (Vec<_>, Vec<_>) = batch
+        .into_iter()
+        .partition(|job| job.deadline.is_some_and(|d| batch_started > d));
+    shed_jobs(shared, shed);
+    if jobs.is_empty() {
         return;
     }
 
-    // Coalesced path: one fenced submission for the whole batch.
-    let count = batch.len() as u32;
-    let mut metas = Vec::with_capacity(batch.len());
-    let mut inputs = Vec::with_capacity(batch.len());
-    for job in batch {
-        let job = *job;
-        // take_batch never coalesces deadline jobs, so every job here has
-        // `deadline: None`; threading it through keeps requeue faithful
-        // regardless.
-        metas.push((
-            job.tenant,
-            job.priority,
-            job.enqueued_at,
-            job.deadline,
-            job.options.clone(),
-            job.reply,
-        ));
-        inputs.push((job.data, job.options));
-    }
-    let waits: Vec<Duration> = metas.iter().map(|m| m.2.elapsed()).collect();
+    let count = jobs.len() as u32;
+    // The payloads go into the submission; each job's box stays behind with
+    // its ticket and admission timestamp, ready for a requeue.
+    let inputs: Vec<_> = jobs
+        .iter_mut()
+        .map(|job| (std::mem::take(&mut job.data), job.options.clone()))
+        .collect();
+    let waits: Vec<Duration> = jobs.iter().map(|job| job.enqueued_at.elapsed()).collect();
+    // In-worker panics come back as clean `Failed` outcomes (the pool
+    // recovers itself); the catch_unwind is defense in depth against
+    // *dispatcher thread* panics — admission-time validation makes the
+    // known ones unreachable, but no conceivable engine panic may take a
+    // machine out of rotation and strand its deque.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         try_permute_batch_into_with(pool, inputs, scratches)
     }));
     let run = batch_started.elapsed();
+    let result = match result {
+        Ok(outcomes) => outcomes.map_err(ServiceError::JobFailed),
+        Err(payload) => Err(ServiceError::InvalidJob(format!(
+            "the job was rejected by the engine: {}",
+            panic_text(payload.as_ref())
+        ))),
+    };
 
     // Ticket resolutions are staged and performed only after the metrics
     // lock drops: completing a ticket may run a user `on_complete`
     // callback, which must never execute under scheduler locks.
-    let mut resolutions = Vec::with_capacity(metas.len());
+    let mut resolutions = Vec::with_capacity(jobs.len());
+    let mut requeue = Vec::new();
+    let mut m = lock_metrics(shared);
     match result {
-        Ok(Ok(outcomes)) => {
-            debug_assert_eq!(outcomes.len(), metas.len());
-            let mut requeue = Vec::new();
+        Ok(outcomes) => {
+            debug_assert_eq!(outcomes.len(), jobs.len());
             let mut completed = 0u64;
-            let mut m = lock_metrics(shared);
-            for ((outcome, meta), wait) in outcomes.into_iter().zip(metas).zip(waits) {
-                let (tenant, priority, enqueued_at, deadline, options, reply) = meta;
+            for ((outcome, mut job), wait) in outcomes.into_iter().zip(jobs).zip(waits) {
                 match outcome {
                     BatchOutcome::Done { data, report } => {
                         completed += 1;
-                        m.record_job(tenant, wait, report.total_elapsed(), true);
-                        resolutions.push((reply, Ok((data, *report))));
+                        m.record_job(job.tenant, wait, report.total_elapsed(), true);
+                        resolutions.push((job.reply, Ok((data, *report))));
                     }
                     BatchOutcome::Failed(e) => {
                         completed += 1;
-                        m.record_job(tenant, wait, run / count, false);
-                        resolutions.push((reply, Err(ServiceError::JobFailed(e))));
+                        m.record_job(job.tenant, wait, run / count, false);
+                        resolutions.push((job.reply, Err(ServiceError::JobFailed(e))));
                     }
                     BatchOutcome::Skipped { data } => {
                         // Never ran: back to the head of the line, payload
                         // and original admission timestamp intact.
-                        requeue.push(Box::new(Job {
-                            data,
-                            options,
-                            tenant,
-                            priority,
-                            enqueued_at,
-                            deadline,
-                            reply,
-                        }));
+                        job.data = data;
+                        requeue.push(job);
                     }
                 }
             }
             m.record_machine(machine_idx, run, completed, pool.recoveries());
-            m.record_coalesce(machine_idx, completed);
-            drop(m);
-            if !requeue.is_empty() {
-                shared.machines[machine_idx].push_front_many(requeue);
+            if count > 1 {
+                m.record_coalesce(machine_idx, completed);
             }
         }
-        Ok(Err(e)) => {
-            // Executor-level failure: the batch as a whole could not run;
-            // every ticket learns the same error.
-            let mut m = lock_metrics(shared);
-            for (meta, wait) in metas.into_iter().zip(waits) {
-                let (tenant, _, _, _, _, reply) = meta;
-                m.record_job(tenant, wait, run / count, false);
-                resolutions.push((reply, Err(ServiceError::JobFailed(e.clone()))));
+        Err(error) => {
+            // The batch as a whole could not run (an executor-level
+            // failure or a dispatcher panic): every ticket learns the same
+            // error.
+            for (job, wait) in jobs.into_iter().zip(waits) {
+                m.record_job(job.tenant, wait, run / count, false);
+                resolutions.push((job.reply, Err(error.clone())));
             }
             m.record_machine(machine_idx, run, count as u64, pool.recoveries());
         }
-        Err(payload) => {
-            let text = panic_text(payload.as_ref());
-            let mut m = lock_metrics(shared);
-            for (meta, wait) in metas.into_iter().zip(waits) {
-                let (tenant, _, _, _, _, reply) = meta;
-                m.record_job(tenant, wait, run / count, false);
-                resolutions.push((
-                    reply,
-                    Err(ServiceError::InvalidJob(format!(
-                        "the job was rejected by the engine: {text}"
-                    ))),
-                ));
-            }
-            m.record_machine(machine_idx, run, count as u64, pool.recoveries());
-        }
+    }
+    drop(m);
+    if !requeue.is_empty() {
+        shared.machines[machine_idx].push_front_many(requeue);
     }
     for (reply, outcome) in resolutions {
         reply.complete(outcome);

@@ -33,10 +33,17 @@
 //! produces for the same configuration: every random stream of Algorithm 1
 //! is derived from the machine seed per call, never from pool state.  (The
 //! resident workers' private `ctx.rng()` streams do advance across jobs,
-//! but the permutation engine deliberately draws from per-call derived
-//! streams — see `exchange_engine` and `MatrixCtx::sampling_rng` —
-//! precisely so substrate and history cannot change the sampled
-//! permutation.)
+//! but the permutation engine's worker closure deliberately draws from
+//! per-call derived streams — see the [`crate::parallel`] module docs and
+//! `MatrixCtx::sampling_rng` — precisely so substrate and history cannot
+//! change the sampled permutation.)  A session call runs on the same
+//! dispatch path as every other permutation: one batch of one job on the
+//! pool, staged through the session's single [`PermuteScratch`].
+//!
+//! The flip side: a seed pins every job.  Repeated calls of the same shape
+//! on one session return the **byte-identical** permutation — they are
+//! not independent samples.  For independent samples today, open one
+//! session per seed (`Permuter::seed`).
 //!
 //! # One job, zero spawns — for every backend
 //!
@@ -56,6 +63,11 @@ use cgp_cgm::{CgmError, ResidentCgm};
 
 /// A resident permutation session: a worker pool plus recycled buffers,
 /// produced by [`crate::Permuter::session`].
+///
+/// Every call draws from the session's seed afresh, so calls of the same
+/// shape return the **same** permutation (see the doctest below) — they are
+/// not independent samples.  Open one session per seed for independent
+/// samples.
 ///
 /// ```
 /// use cgp_core::Permuter;

@@ -6,12 +6,18 @@
 //! The companion `service.rs` suite stresses the client surface (tickets,
 //! backpressure, shutdown); this file pins down the *scheduling* layer —
 //! that quotas isolate tenants, that where and how a job runs (home deque,
-//! stolen, coalesced) never changes its permutation, and that a panic
-//! inside a coalesced batch fails exactly one ticket.  CI runs it under
+//! stolen, coalesced) never changes its permutation, that a panic
+//! inside a coalesced batch fails exactly one ticket, and that a deadline
+//! job whose budget runs out while it waits in a deque is shed, not run.
+//! CI runs it under
 //! `--release` as well (same policy as the pool and session suites).
 
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
+
 use cgp_core::{
-    EngineFault, MatrixBackend, PermutationService, PermuteOptions, Permuter, Priority,
+    EngineFault, JobTicket, MatrixBackend, PermutationReport, PermutationService, PermuteOptions,
+    Permuter, Priority, ServiceError,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -250,6 +256,74 @@ fn a_mid_batch_panic_fails_only_the_faulting_ticket() {
         "two in the faulting batch (one served, one failed), two requeued"
     );
     assert_eq!(metrics.coalesced_batches, 2);
+}
+
+/// Parks the dispatcher that completes `ticket` inside the ticket's
+/// completion callback until the returned sender fires or drops — the one
+/// way to hold jobs in admission or in a deque without guessing at timing.
+/// The receiver yields the job's outcome once the dispatcher is parked.  A
+/// ticket that completed before the callback was registered runs it inline
+/// on this thread instead; then nothing parks and the receiver reports a
+/// disconnect.
+type Parked = (
+    mpsc::Receiver<Result<(Vec<u64>, PermutationReport), ServiceError>>,
+    mpsc::Sender<()>,
+);
+fn park_dispatcher(ticket: JobTicket<u64>) -> Parked {
+    let test_thread = std::thread::current().id();
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    ticket.on_complete(move |outcome| {
+        if std::thread::current().id() != test_thread {
+            parked_tx
+                .send(outcome)
+                .expect("the test waits for the park");
+            let _ = release_rx.recv();
+        }
+    });
+    (parked_rx, release_tx)
+}
+
+#[test]
+fn a_deadline_job_that_expires_in_the_deque_is_shed_at_run_time() {
+    let permuter = Permuter::new(2).seed(43);
+    let reference = permuter.permute(identity(64)).0;
+    let service = permuter.service_sized::<u64>(1, 8);
+    let handle = service.handle();
+
+    // Park the only dispatcher, so the deadline jobs below land in
+    // admission together.
+    let release_gate = loop {
+        let (parked, release) = park_dispatcher(handle.submit(identity(1 << 16)).unwrap());
+        if let Ok(outcome) = parked.recv() {
+            outcome.unwrap();
+            break release;
+        }
+    };
+    let deadline = |budget_ms: u64| Priority::Deadline(Duration::from_millis(budget_ms));
+    let submitted = Instant::now();
+    let first = handle
+        .submit_with(identity(64), PermuteOptions::default(), deadline(1_000))
+        .unwrap();
+    let second = handle
+        .submit_with(identity(64), PermuteOptions::default(), deadline(1_500))
+        .unwrap();
+    let (first_parked, release_first) = park_dispatcher(first);
+
+    // The next refill moves both into the deque, earlier expiry first:
+    // `first` runs and parks the dispatcher while `second` waits in the
+    // deque, in budget when it got there.  Hold it there past its deadline.
+    drop(release_gate);
+    assert_eq!(first_parked.recv().unwrap().unwrap().0, reference);
+    let expired = submitted + Duration::from_millis(1_600);
+    std::thread::sleep(expired.saturating_duration_since(Instant::now()));
+    drop(release_first);
+
+    assert_eq!(second.wait().unwrap_err(), ServiceError::DeadlineExceeded);
+    let metrics = service.shutdown();
+    assert_eq!(metrics.deadline_shed, 1);
+    assert_eq!(metrics.jobs_served, 2, "the gate job and `first`");
+    assert_eq!(metrics.jobs_failed, 0, "a shed job is not a failure");
 }
 
 proptest! {
